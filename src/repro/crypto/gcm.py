@@ -2,10 +2,15 @@
 
 GHASH uses Shoup's byte-table method: a 256-entry table of ``b * H`` keyed
 per-instance, plus a key-independent 256-entry reduction table, giving 16
-table lookups per 128-bit block instead of a 128-iteration bit loop.
+table lookups per 128-bit block instead of a 128-iteration bit loop.  Once
+a key has hashed enough ciphertext to pay for them, per-byte-position
+tables of H^1..H^4 take over for every record: 64 lookups per four blocks
+and no per-block reduction.
 """
 
 from __future__ import annotations
+
+import hmac as _hmac
 
 from repro.crypto.aes import AES
 from repro.errors import CryptoError, IntegrityError
@@ -39,19 +44,16 @@ _R8 = _build_reduction_table()
 class _GHash:
     """GHASH universal hash keyed by H = E_K(0^128)."""
 
-    # Only digests covering at least this many ciphertext bytes are
-    # candidates for the aggregated 4-block path (handshake records never
-    # are), and the tables are not built until a key has hashed
-    # ``_BULK_BUILD_BYTES`` of candidate ciphertext: construction costs
-    # the same as scalar-hashing tens of KiB, so short-lived sessions
-    # that move one or two records must never pay it.
-    _BULK_THRESHOLD = 512
+    # The per-position tables (``_byte_tables``) serve every record once
+    # built, but they are not built until a key has hashed this much
+    # ciphertext: construction costs the same as scalar-hashing tens of
+    # KiB, so short-lived sessions that move a few records never pay it.
     _BULK_BUILD_BYTES = 64 * 1024
 
     def __init__(self, h: int) -> None:
         self._h = h
         self._bulk_tables = None
-        self._bulk_eligible = 0
+        self._hashed_bytes = 0
         # Basis entries: byte value (0x80 >> i) at the top byte is x^i * H.
         table = [0] * 256
         value = h
@@ -75,85 +77,88 @@ class _GHash:
         w = 0
         # Bytes of z from most significant (low polynomial degree) are
         # processed last: Horner over x^8.
-        for shift in range(0, 128, 8):
-            w = (w >> 8) ^ r8[w & 0xFF]
-            w ^= table[(z >> shift) & 0xFF]
+        for byte in z.to_bytes(16, "little"):
+            w = (w >> 8) ^ r8[w & 0xFF] ^ table[byte]
         return w
 
-    def _byte_tables(self) -> list[list[list[int]]]:
-        """Per-byte-position tables for H^1..H^4, built lazily.
+    def _byte_tables(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per-byte-position tables of H^1..H^4, built on first use.
 
-        ``tables[k-1][j][b]`` is the fully reduced GF(2^128) product of
-        H^k with byte value ``b`` placed at big-endian byte position
-        ``j`` of a block, so one aggregated Horner step over four blocks
-        is 64 lookups XORed together with no per-block reduction.
+        ``cols[j][b]`` for H^k is the fully reduced GF(2^128) product of
+        H^k with byte value ``b`` at big-endian byte position ``j`` of a
+        block (position 0 is the most significant byte), so the product of
+        H^k with a block is the XOR of ``cols[j][block[j]]`` over its 16
+        bytes, with no per-block reduction.  Returns ``(group, single)``:
+        ``group`` is the 64 tables of H^4, H^3, H^2, H^1 in that order,
+        one aggregated Horner step over four blocks; ``single`` is the 16
+        tables of H^1.
         """
         tables = self._bulk_tables
         if tables is None:
             r8 = _R8
-            tables = []
+            powers = []
             h_power = self._h
             for _ in range(4):
                 top = _GHash(h_power)._table if h_power != self._h \
                     else self._table
+                # Position 0 is Shoup's table; each position below it
+                # folds one more byte shift into the products.
                 cols = [top]
                 for _ in range(15):
                     prev = cols[-1]
                     cols.append([(v >> 8) ^ r8[v & 0xFF] for v in prev])
-                # cols[0] is byte position 0 == most significant byte?
-                # _mul_h places table[b] at shift 120 (byte 0 of the
-                # big-endian block) with no folds, so cols[i] serves the
-                # byte i positions *below* it; index by big-endian
-                # position directly.
-                tables.append(cols)
+                powers.append(cols)
                 h_power = self._mul_h(h_power)
-            self._bulk_tables = tables
+            t1, t2, t3, t4 = powers
+            tables = self._bulk_tables = (t4 + t3 + t2 + t1, t1)
         return tables
 
-    def _bulk_ready(self, size: int) -> bool:
-        """Has this key hashed enough bulk-sized data to amortize tables?"""
-        if self._bulk_tables is not None:
-            return True
-        self._bulk_eligible += size
-        return self._bulk_eligible >= self._BULK_BUILD_BYTES
+    @staticmethod
+    def _digest_tables(tables, aad: bytes, ciphertext: bytes) -> int:
+        """GHASH with the per-position tables: 4-block groups, then blocks."""
+        group, single = tables
+        y = 0
+        for chunk in (aad, ciphertext):
+            size = len(chunk)
+            end = size - size % 64
+            for offset in range(0, end, 64):
+                block = (y ^ int.from_bytes(chunk[offset : offset + 16], "big")
+                         ).to_bytes(16, "big") + chunk[offset + 16 : offset + 64]
+                y = 0
+                for table, byte in zip(group, block):
+                    y ^= table[byte]
+            for offset in range(end, size, 16):
+                block = chunk[offset : offset + 16]
+                y ^= int.from_bytes(block, "big") << 8 * (16 - len(block))
+                acc = 0
+                for table, byte in zip(single, y.to_bytes(16, "big")):
+                    acc ^= table[byte]
+                y = acc
+        y ^= (len(aad) * 8) << 64 | (len(ciphertext) * 8)
+        acc = 0
+        for table, byte in zip(single, y.to_bytes(16, "big")):
+            acc ^= table[byte]
+        return acc
 
-    def _bulk(self, y: int, data: bytes, offset: int, end: int) -> int:
-        """Fold whole 4-block groups of ``data[offset:end]`` into ``y``."""
-        t1, t2, t3, t4 = self._byte_tables()
-        while offset + 64 <= end:
-            y ^= int.from_bytes(data[offset : offset + 16], "big")
-            acc = 0
-            for j in range(16):
-                acc ^= (
-                    t4[j][(y >> (120 - 8 * j)) & 0xFF]
-                    ^ t3[j][data[offset + 16 + j]]
-                    ^ t2[j][data[offset + 32 + j]]
-                    ^ t1[j][data[offset + 48 + j]]
-                )
-            y = acc
-            offset += 64
-        return y
+    def _digest_scalar(self, aad: bytes, ciphertext: bytes) -> int:
+        """GHASH one block at a time with Shoup's table."""
+        mul_h = self._mul_h
+        y = 0
+        for chunk in (aad, ciphertext):
+            for offset in range(0, len(chunk), 16):
+                block = chunk[offset : offset + 16]
+                y = mul_h(y ^ (int.from_bytes(block, "big") << 8 * (16 - len(block))))
+        return mul_h(y ^ ((len(aad) * 8) << 64 | (len(ciphertext) * 8)))
 
     def digest(self, aad: bytes, ciphertext: bytes) -> int:
         """GHASH(aad || pad || ciphertext || pad || len(aad) || len(ct))."""
-        y = 0
-        for chunk in (aad, ciphertext):
-            offset = 0
-            if (chunk is ciphertext and len(chunk) >= self._BULK_THRESHOLD
-                    and self._bulk_ready(len(chunk))):
-                groups = len(chunk) // 64 * 64
-                y = self._bulk(y, chunk, 0, groups)
-                offset = groups
-            for offset in range(offset, len(chunk), 16):
-                block = chunk[offset : offset + 16]
-                if len(block) < 16:
-                    # bytes() first: ``chunk`` may be a memoryview from
-                    # the zero-copy receive path, and memoryview + bytes
-                    # doesn't concatenate.
-                    block = bytes(block) + b"\x00" * (16 - len(block))
-                y = self._mul_h(y ^ int.from_bytes(block, "big"))
-        lengths = (len(aad) * 8) << 64 | (len(ciphertext) * 8)
-        return self._mul_h(y ^ lengths)
+        tables = self._bulk_tables
+        if tables is None:
+            self._hashed_bytes += len(ciphertext)
+            if self._hashed_bytes < self._BULK_BUILD_BYTES:
+                return self._digest_scalar(aad, ciphertext)
+            tables = self._byte_tables()
+        return self._digest_tables(tables, aad, ciphertext)
 
 
 class AESGCM:
@@ -171,30 +176,25 @@ class AESGCM:
         h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
         self._ghash = _GHash(h)
 
-    def _keystream_xor(self, nonce: bytes, data: bytes, initial_counter: int) -> bytes:
-        n = len(data)
-        if n == 0:
-            return b""
-        keystream = self._aes.ctr_keystream(
-            nonce, initial_counter, (n + 15) // 16
-        )
-        if n % 16:
-            keystream = keystream[:n]
-        return (
-            int.from_bytes(data, "big") ^ int.from_bytes(keystream, "big")
-        ).to_bytes(n, "big")
+    def _keystream(self, nonce: bytes, n: int) -> tuple[int, int]:
+        """``E_K(J0)`` and the keystream for ``n`` bytes, as ints.
 
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        s = self._ghash.digest(aad, ciphertext)
-        j0 = self._aes.encrypt_block(nonce + (1).to_bytes(4, "big"))
-        return (s ^ int.from_bytes(j0, "big")).to_bytes(16, "big")
+        J0 (counter 1) precedes the data counters (2, 3, ...), so one
+        keystream call covers the tag mask and the data.
+        """
+        keystream = self._aes.ctr_keystream(nonce, 1, (n + 15) // 16 + 1)
+        return (int.from_bytes(keystream[:16], "big"),
+                int.from_bytes(keystream[16 : 16 + n], "big"))
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt and authenticate; returns ciphertext || 16-byte tag."""
         if len(nonce) != self.nonce_length:
             raise CryptoError("GCM nonce must be 12 bytes")
-        ciphertext = self._keystream_xor(nonce, plaintext, 2)
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        n = len(plaintext)
+        j0, stream = self._keystream(nonce, n)
+        ciphertext = (int.from_bytes(plaintext, "big") ^ stream).to_bytes(n, "big")
+        tag = self._ghash.digest(aad, ciphertext) ^ j0
+        return ciphertext + tag.to_bytes(16, "big")
 
     def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
         """Verify the tag and decrypt; raises IntegrityError on failure."""
@@ -203,11 +203,12 @@ class AESGCM:
         if len(data) < self.tag_length:
             raise IntegrityError("ciphertext shorter than GCM tag")
         ciphertext, tag = data[: -self.tag_length], data[-self.tag_length :]
-        import hmac as _hmac
-
-        if not _hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
+        n = len(ciphertext)
+        j0, stream = self._keystream(nonce, n)
+        expected = (self._ghash.digest(aad, ciphertext) ^ j0).to_bytes(16, "big")
+        if not _hmac.compare_digest(tag, expected):
             raise IntegrityError("GCM tag mismatch")
-        return self._keystream_xor(nonce, ciphertext, 2)
+        return (int.from_bytes(ciphertext, "big") ^ stream).to_bytes(n, "big")
 
     def seal_many(
         self, items: list[tuple[bytes, bytes, bytes]]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, _SBOX
+from repro.crypto.bitsliced import BitslicedCtr, _Layout
 from repro.errors import CryptoError
 
 
@@ -87,9 +88,12 @@ class TestCtrKeystream:
             for j in range(nblocks)
         )
 
-    # Block counts straddling the bitslice cutover (16) and the padding
-    # to multiples of 8 inside the bitsliced engine.
-    @pytest.mark.parametrize("nblocks", [1, 7, 8, 15, 16, 17, 23, 64, 100])
+    # Block counts straddling the bitslice cutover and the padding to
+    # multiples of 8 inside the bitsliced engine.
+    @pytest.mark.parametrize("nblocks", sorted(
+        {1, 7, 8, 9, 15, 16, 17, 23, 64, 100}
+        | {AES._BITSLICE_THRESHOLD + d for d in (-1, 0, 1)}
+    ))
     @pytest.mark.parametrize("key_length", [16, 24, 32])
     def test_matches_scalar_blocks(self, key_length, nblocks, rng):
         cipher = AES(rng.random_bytes(key_length))
@@ -112,6 +116,23 @@ class TestCtrKeystream:
     def test_bad_prefix_rejected(self, rng):
         with pytest.raises(CryptoError):
             AES(rng.random_bytes(16)).ctr_keystream(b"\x00" * 11, 2, 4)
+
+    def test_mask_cache_evicts_one_entry(self, rng):
+        # More distinct padded block counts than one key's mask cache
+        # holds, then the first sizes again.
+        cipher = AES(rng.random_bytes(16))
+        prefix = rng.random_bytes(12)
+        capacity = BitslicedCtr._MASK_CACHE_SIZE
+        first = (AES._BITSLICE_THRESHOLD + 7) & ~7
+        sizes = [first + 8 * i for i in range(capacity + 3)]
+        for count, nblocks in enumerate(sizes + sizes[:3], start=1):
+            assert cipher.ctr_keystream(prefix, 2, nblocks) == self._scalar_keystream(
+                cipher, prefix, 2, nblocks
+            )
+            masks = cipher._bitsliced._rk_masks
+            assert nblocks in masks
+            assert nblocks in _Layout._cache
+            assert len(masks) == min(count, capacity)
 
     def test_bitsliced_engine_is_cached(self, rng):
         cipher = AES(rng.random_bytes(16))
