@@ -114,11 +114,11 @@ class _GHash:
         return tables
 
     @staticmethod
-    def _digest_tables(tables, aad: bytes, ciphertext: bytes) -> int:
+    def _digest_tables(tables, chunks) -> int:
         """GHASH with the per-position tables: 4-block groups, then blocks."""
         group, single = tables
         y = 0
-        for chunk in (aad, ciphertext):
+        for chunk in chunks:
             size = len(chunk)
             end = size - size % 64
             for offset in range(0, end, 64):
@@ -134,31 +134,29 @@ class _GHash:
                 for table, byte in zip(single, y.to_bytes(16, "big")):
                     acc ^= table[byte]
                 y = acc
-        y ^= (len(aad) * 8) << 64 | (len(ciphertext) * 8)
-        acc = 0
-        for table, byte in zip(single, y.to_bytes(16, "big")):
-            acc ^= table[byte]
-        return acc
+        return y
 
-    def _digest_scalar(self, aad: bytes, ciphertext: bytes) -> int:
+    def _digest_scalar(self, chunks) -> int:
         """GHASH one block at a time with Shoup's table."""
         mul_h = self._mul_h
         y = 0
-        for chunk in (aad, ciphertext):
+        for chunk in chunks:
             for offset in range(0, len(chunk), 16):
                 block = chunk[offset : offset + 16]
                 y = mul_h(y ^ (int.from_bytes(block, "big") << 8 * (16 - len(block))))
-        return mul_h(y ^ ((len(aad) * 8) << 64 | (len(ciphertext) * 8)))
+        return y
 
     def digest(self, aad: bytes, ciphertext: bytes) -> int:
         """GHASH(aad || pad || ciphertext || pad || len(aad) || len(ct))."""
+        lengths = ((len(aad) * 8) << 64 | (len(ciphertext) * 8)).to_bytes(16, "big")
+        chunks = (aad, ciphertext, lengths)
         tables = self._bulk_tables
         if tables is None:
             self._hashed_bytes += len(ciphertext)
             if self._hashed_bytes < self._BULK_BUILD_BYTES:
-                return self._digest_scalar(aad, ciphertext)
+                return self._digest_scalar(chunks)
             tables = self._byte_tables()
-        return self._digest_tables(tables, aad, ciphertext)
+        return self._digest_tables(tables, chunks)
 
 
 class AESGCM:

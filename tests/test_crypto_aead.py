@@ -199,9 +199,10 @@ class TestKnownAnswerVectors:
         assert cls(key).decrypt(nonce, expected, aad) == plaintext
 
 
-# Lengths chosen to cross every fast-path threshold: the 16-block bitsliced
-# CTR cutover (256 bytes), the 512-byte aggregated-GHASH cutover, 4-block
-# GHASH group boundaries (64), and exact/off-by-one record block boundaries.
+# Lengths around batch-relevant sizes: 4-block GHASH group boundaries (64),
+# multiples of the bitsliced engine's 8-block padding (256, 512), and
+# exact/off-by-one record block boundaries.  The cutovers themselves, read
+# from the class constants, are covered in test_crypto_cutovers.py.
 _BOUNDARY_LENGTHS = [0, 1, 15, 16, 17, 63, 64, 255, 256, 257, 511, 512, 513, 4095, 4096]
 
 
