@@ -30,11 +30,9 @@ from __future__ import annotations
 import hmac
 from dataclasses import dataclass
 
-from repro.errors import PolicyError, ProtocolError, ReproError, SessionAborted
-from repro.io.framing import FRAME_ALERT, FRAME_CLOSE, alert_frame, close_frame, frame, pop_frames
-from repro.io.record_plane import RecordPlane
-from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed
-from repro.wire.alerts import Alert, AlertDescription
+from repro.errors import PolicyError, ProtocolError
+from repro.io.endpoint import FramedDuplex, FramedEndpoint
+from repro.io.framing import frame
 
 __all__ = [
     "TokenStream",
@@ -179,7 +177,7 @@ def _decode_payload(payload: bytes) -> tuple[list[bytes], bytes]:
     return tokens, payload[end:]
 
 
-class BlindBoxStreamConnection:
+class BlindBoxStreamConnection(FramedEndpoint):
     """Sans-IO BlindBox endpoint: data chunks travel with their token stream.
 
     Each outbound chunk is framed as ``u32 len | u16 n_tokens | tokens | data``
@@ -189,98 +187,23 @@ class BlindBoxStreamConnection:
     :class:`repro.io.Connection` contract.
     """
 
-    def __init__(self, token_stream: TokenStream) -> None:
-        self.tokens = token_stream
-        self._out = RecordPlane()  # coalesced outbox only; no TLS parsing
-        self._buffer = bytearray()
-        self.closed = False
-        self._started = False
-        self.origin_label = "blindbox-endpoint"
-        self.abort: SessionAborted | None = None
+    origin_label = "blindbox-endpoint"
 
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("BlindBox connection already started")
-        self._started = True
+    def __init__(self, token_stream: TokenStream) -> None:
+        super().__init__()
+        self.tokens = token_stream
 
     def send_application_data(self, data: bytes) -> None:
         if self.closed:
             raise ProtocolError("cannot send application data on a closed connection")
-        self._out.queue_raw(_encode_payload(self.tokens.tokenize(data), data))
+        self._plane.queue_raw(_encode_payload(self.tokens.tokenize(data), data))
 
-    def receive_bytes(self, data: bytes) -> list:
-        if self.closed:
-            return []
-        self._buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(self._buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
-            if kind == FRAME_CLOSE:
-                self.closed = True
-                events.append(ConnectionClosed())
-                break
-            if kind == FRAME_ALERT:
-                if self._handle_alert(payload, events):
-                    break
-                continue
-            _tokens, chunk = _decode_payload(payload)
-            events.append(ApplicationData(data=chunk))
-        return events
-
-    def _handle_alert(self, payload: bytes, events: list) -> bool:
-        try:
-            alert = Alert.decode(payload)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return True
-        events.append(AlertReceived(alert=alert))
-        if alert.is_close:
-            self.closed = True
-            events.append(ConnectionClosed())
-            return True
-        if alert.is_fatal:
-            name = alert.description.name.lower()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"peer sent fatal {name}", origin=alert.origin, alert=name
-            )
-            events.append(ConnectionClosed(error=name, alert=name, origin=alert.origin))
-            return True
-        return False
-
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = (
-            AlertDescription.from_name(getattr(exc, "alert", "decode_error"))
-            if isinstance(exc, ProtocolError)
-            else AlertDescription.DECODE_ERROR
-        )
-        name = description.name.lower()
-        self._out.queue_raw(alert_frame(Alert.fatal(description, origin=self.origin_label).encode()))
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(ConnectionClosed(error=f"{name}: {exc}", alert=name, origin=self.origin_label))
-
-    def data_to_send(self) -> bytes:
-        return self._out.data_to_send()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._out.queue_raw(close_frame())
-
-    def peer_closed(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="transport closed")]
+    def _open(self, payload: bytes) -> bytes:
+        _tokens, chunk = _decode_payload(payload)
+        return chunk
 
 
-class BlindBoxInspectorConnection:
+class BlindBoxInspectorConnection(FramedDuplex):
     """Sans-IO duplex BlindBox middlebox: matches tokens, relays frames.
 
     The detector sees only the encrypted token stream — frames are forwarded
@@ -288,103 +211,19 @@ class BlindBoxInspectorConnection:
     data (the [Computation: limited] cell of the §2.2 design space).
     """
 
+    origin_label = "blindbox-inspector"
+
     def __init__(
         self,
         detector: BlindBoxDetector,
         detector_up: BlindBoxDetector | None = None,
     ) -> None:
+        super().__init__()
         self.detector_down = detector
         self.detector_up = detector_up if detector_up is not None else detector
-        self._planes = [RecordPlane(), RecordPlane()]  # outboxes only
-        self._buffers = [bytearray(), bytearray()]
         self.frames_inspected = 0
-        self.closed = False
-        self._started = False
-        self.origin_label = "blindbox-inspector"
-        self.abort: SessionAborted | None = None
 
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("BlindBox inspector already started")
-        self._started = True
-
-    def receive_down(self, data: bytes) -> list:
-        return self._receive(0, self.detector_down, data)
-
-    def receive_up(self, data: bytes) -> list:
-        return self._receive(1, self.detector_up, data)
-
-    def _receive(self, side: int, detector: BlindBoxDetector, data: bytes) -> list:
-        if self.closed:
-            return []
-        buffer = self._buffers[side]
-        outbound = self._planes[1 - side]
-        buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
-            if kind == FRAME_CLOSE:
-                outbound.queue_raw(close_frame())
-                continue
-            if kind == FRAME_ALERT:
-                # Alerts pass through untouched; a fatal one tears this hop
-                # down too so the session cannot linger half-open.
-                outbound.queue_raw(alert_frame(payload))
-                try:
-                    alert = Alert.decode(payload)
-                except ReproError:
-                    continue
-                if alert.is_fatal and not alert.is_close:
-                    name = alert.description.name.lower()
-                    self.closed = True
-                    self.abort = SessionAborted(
-                        f"fatal {name} passed through", origin=alert.origin, alert=name
-                    )
-                    events.append(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
-                    break
-                continue
-            tokens, _chunk = _decode_payload(payload)
-            detector.inspect(tokens)
-            self.frames_inspected += 1
-            outbound.queue_raw(frame(payload))
-        return events
-
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = (
-            AlertDescription.from_name(getattr(exc, "alert", "decode_error"))
-            if isinstance(exc, ProtocolError)
-            else AlertDescription.DECODE_ERROR
-        )
-        name = description.name.lower()
-        payload = Alert.fatal(description, origin=self.origin_label).encode()
-        for plane in self._planes:
-            plane.queue_raw(alert_frame(payload))
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(error=f"{name}: {exc}", alert=name, origin=self.origin_label)
-        )
-
-    def data_to_send_down(self) -> bytes:
-        return self._planes[0].data_to_send()
-
-    def data_to_send_up(self) -> bytes:
-        return self._planes[1].data_to_send()
-
-    def peer_closed_down(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="client segment closed")]
-
-    def peer_closed_up(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="server segment closed")]
+    def _inspect(self, side: int, payload: bytes) -> None:
+        tokens, _chunk = _decode_payload(payload)
+        (self.detector_down, self.detector_up)[side].inspect(tokens)
+        self.frames_inspected += 1

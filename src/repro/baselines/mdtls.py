@@ -34,28 +34,17 @@ import hashlib
 
 from repro.crypto.kdf import prf
 from repro.crypto.x25519 import x25519, x25519_base
-from repro.errors import (
-    CryptoError,
-    IntegrityError,
-    PolicyError,
-    ProtocolError,
-    ReproError,
-    SessionAborted,
-)
+from repro.errors import CryptoError, ProtocolError, ReproError
+from repro.io.endpoint import Duplex, Endpoint
 from repro.io.record_plane import RecordPlane
 from repro.pki.authority import Credential
 from repro.pki.store import TrustStore
 from repro.tls.ciphersuites import DEFAULT_SUITES, CipherSuite, suite_by_code
-from repro.tls.events import (
-    AlertReceived,
-    ApplicationData,
-    ConnectionClosed,
-    HandshakeComplete,
-)
+from repro.tls.events import ApplicationData, HandshakeComplete
 from repro.tls.keyschedule import derive_master_secret, finished_verify_data
 from repro.tls.record_layer import ConnectionState
-from repro.wire.alerts import Alert, AlertDescription
-from repro.wire.extensions import Extension, ExtensionType
+from repro.wire.alerts import Alert
+from repro.wire.extensions import ExtensionType
 from repro.wire.handshake import (
     Certificate,
     ClientHello,
@@ -126,17 +115,6 @@ def hop_states(
         ConnectionState(suite, client_key, client_iv, sequence=0),
         ConnectionState(suite, server_key, server_iv, sequence=0),
     )
-
-
-def _alert_for(exc: Exception) -> AlertDescription:
-    """Map a processing failure onto the alert it should raise."""
-    if isinstance(exc, IntegrityError):
-        return AlertDescription.BAD_RECORD_MAC
-    if isinstance(exc, PolicyError):
-        return AlertDescription.ACCESS_DENIED
-    if isinstance(exc, ProtocolError):
-        return AlertDescription.from_name(exc.alert)
-    return AlertDescription.DECODE_ERROR
 
 
 def _plaintext_alert(alert: Alert) -> Record:
@@ -231,46 +209,19 @@ class MdTLSDeployment:
         )
 
 
-class _MdTLSEndpoint:
+class _MdTLSEndpoint(Endpoint):
     """State shared by both mdTLS endpoints: plane, transcript, aborts."""
 
     origin_label = "mdtls-endpoint"
 
     def __init__(self) -> None:
-        self._plane = RecordPlane()
+        super().__init__()
         self._handshake = HandshakeBuffer()
         self._transcript = bytearray()
         self.established = False
-        self.closed = False
-        self._started = False
-        self.abort: SessionAborted | None = None
-        self._states: tuple[ConnectionState, ConnectionState] | None = None
 
-    # -- shared Connection-contract plumbing ------------------------------
-
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("mdTLS connection already started")
-        self._started = True
-        self._on_start()
-
-    def _on_start(self) -> None:  # pragma: no cover - endpoint hook
-        pass
-
-    def data_to_send(self) -> bytes:
-        return self._plane.data_to_send()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._plane.queue_encoded(_plaintext_alert(Alert.close_notify()))
-
-    def peer_closed(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="transport closed")]
+    def _send_alert(self, alert: Alert) -> None:
+        self._plane.queue_encoded(_plaintext_alert(alert))
 
     def _append_transcript(self, message: Handshake) -> None:
         if message.msg_type != HandshakeType.MDTLS_PROXY_SIGNATURE:
@@ -284,40 +235,6 @@ class _MdTLSEndpoint:
         self._append_transcript(framed)
         self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
         return framed
-
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        self._plane.queue_encoded(
-            _plaintext_alert(Alert.fatal(description, origin=self.origin_label))
-        )
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
-
-    def _handle_alert(self, payload: bytes, events: list) -> bool:
-        """Process an inbound alert record; True if the connection ended."""
-        alert = Alert.decode(bytes(payload))
-        events.append(AlertReceived(alert=alert))
-        if alert.is_close:
-            self.closed = True
-            events.append(ConnectionClosed())
-            return True
-        if alert.is_fatal:
-            name = alert.description.name.lower()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"peer sent fatal {name}", origin=alert.origin, alert=name
-            )
-            events.append(
-                ConnectionClosed(error=name, alert=name, origin=alert.origin)
-            )
-            return True
-        return False
 
     def receive_bytes(self, data: bytes) -> list:
         if self.closed:
@@ -845,7 +762,7 @@ class MdTLSServerConnection(_MdTLSEndpoint):
         events.append(HandshakeComplete(cipher_suite=self._suite.code))
 
 
-class MdTLSMiddleboxConnection:
+class MdTLSMiddleboxConnection(Duplex):
     """Sans-IO duplex mdTLS middlebox.
 
     Forwards every handshake record *verbatim* (keeping the endpoints'
@@ -867,13 +784,12 @@ class MdTLSMiddleboxConnection:
         trust_store: TrustStore,
         now: float = 0.0,
     ) -> None:
+        super().__init__()
         self.name = name
         self.origin_label = f"mdtls-middlebox:{name}"
         self._credential = credential
         self._trust = trust_store
         self._now = now
-        # Plane 0 faces the client ("down"), plane 1 the server ("up").
-        self._planes = [RecordPlane(), RecordPlane()]
         self._handshakes = [HandshakeBuffer(), HandshakeBuffer()]
         self._transcript = bytearray()
         self._suite: CipherSuite | None = None
@@ -884,56 +800,13 @@ class MdTLSMiddleboxConnection:
         self._server_warrant_seen = False
         self._client_finished_seen = False
         self.established = False
-        self.closed = False
-        self._started = False
-        self.abort: SessionAborted | None = None
         self.records_forwarded = 0
-
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("mdTLS middlebox already started")
-        self._started = True
-
-    def receive_down(self, data: bytes) -> list:
-        return self._receive(0, data)
-
-    def receive_up(self, data: bytes) -> list:
-        return self._receive(1, data)
-
-    def data_to_send_down(self) -> bytes:
-        return self._planes[0].data_to_send()
-
-    def data_to_send_up(self) -> bytes:
-        return self._planes[1].data_to_send()
-
-    def peer_closed_down(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="client segment closed")]
-
-    def peer_closed_up(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="server segment closed")]
 
     def _transcript_hash(self) -> bytes:
         return hashlib.sha256(bytes(self._transcript)).digest()
 
-    def _abort(self, exc: Exception, events: list) -> None:
-        description = _alert_for(exc)
-        name = description.name.lower()
-        record = _plaintext_alert(Alert.fatal(description, origin=self.origin_label))
-        for plane in self._planes:
-            plane.queue_encoded(record)
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
+    def _send_alert(self, side: int, alert: Alert) -> None:
+        self._planes[side].queue_encoded(_plaintext_alert(alert))
 
     def _receive(self, side: int, data: bytes) -> list:
         if self.closed:
@@ -986,19 +859,9 @@ class MdTLSMiddleboxConnection:
         outbound.queue_encoded(
             Record(content_type=ContentType.ALERT, payload=encoded)
         )
-        alert = Alert.decode(encoded)
-        if alert.is_fatal and not alert.is_close:
-            # Hop-by-hop propagation: tear our own forwarding state down too.
-            name = alert.description.name.lower()
-            self.closed = True
-            self.abort = SessionAborted(
-                f"fatal {name} passed through", origin=alert.origin, alert=name
-            )
-            events.append(
-                ConnectionClosed(error=name, alert=name, origin=alert.origin)
-            )
-            return True
-        return False
+        # Unlike the framed inspectors, an alert this hop cannot decode
+        # raises here and aborts the session.
+        return self._pass_through(Alert.decode(encoded), events)
 
     def _forward_handshake(
         self, side: int, record: Record, outbound: RecordPlane, events: list

@@ -14,63 +14,30 @@ Two flavours:
 
 from __future__ import annotations
 
-from repro.errors import ProtocolError
-from repro.io.record_plane import RecordPlane
+from repro.io.endpoint import Duplex
 from repro.netsim.driver import CpuMeter, DuplexDriver
 from repro.netsim.network import Host, InterceptedFlow
-from repro.tls.events import ConnectionClosed
 
 __all__ = ["SpliceRelay", "SpliceRelayService"]
 
 
-class SpliceRelay:
-    """Sans-IO byte splice: bytes in on one segment, out on the other."""
+class SpliceRelay(Duplex):
+    """Sans-IO byte splice: bytes in on one segment, out on the other.
+
+    The planes serve as coalesced outboxes only; the relay never parses
+    records, so it never originates an alert either.
+    """
 
     def __init__(self) -> None:
-        # Planes are used for their coalesced outboxes only; the relay never
-        # parses records.
-        self._out_down = RecordPlane()
-        self._out_up = RecordPlane()
+        super().__init__()
         self.bytes_relayed = 0
-        self.closed = False
-        self._started = False
 
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("relay already started")
-        self._started = True
-
-    def receive_down(self, data: bytes) -> list:
+    def _receive(self, side: int, data: bytes) -> list:
         if self.closed:
             return []
         self.bytes_relayed += len(data)
-        self._out_up.queue_raw(data)
+        self._planes[1 - side].queue_raw(data)
         return []
-
-    def receive_up(self, data: bytes) -> list:
-        if self.closed:
-            return []
-        self.bytes_relayed += len(data)
-        self._out_down.queue_raw(data)
-        return []
-
-    def data_to_send_down(self) -> bytes:
-        return self._out_down.data_to_send()
-
-    def data_to_send_up(self) -> bytes:
-        return self._out_up.data_to_send()
-
-    def peer_closed_down(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="client segment closed")]
-
-    def peer_closed_up(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="server segment closed")]
 
 
 class SpliceRelayService:

@@ -18,22 +18,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import (
-    CryptoError,
-    DecodeError,
-    IntegrityError,
-    ProtocolError,
-    SessionAborted,
-)
-from repro.io.record_plane import RecordPlane
+from repro.errors import CryptoError, DecodeError, IntegrityError, ProtocolError
+from repro.io.endpoint import Duplex
 from repro.netsim.driver import CpuMeter, DuplexDriver
 from repro.netsim.network import Host, InterceptedFlow
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.engine import TLSClientEngine
-from repro.tls.events import ConnectionClosed
 from repro.tls.keyschedule import KeyBlock
 from repro.tls.record_layer import ConnectionState
-from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.alerts import Alert
 from repro.wire.records import ContentType, Record
 
 __all__ = [
@@ -43,7 +36,8 @@ __all__ = [
     "KeySharingService",
 ]
 
-_DOWN, _UP = 0, 1
+# Direction of the traffic arriving on each segment (DOWN, UP).
+_DIRECTIONS = ("c2s", "s2c")
 
 
 class KeySharingClient:
@@ -123,7 +117,7 @@ class KeySharingMiddlebox:
         return state.protect(ContentType.ALERT, payload)
 
 
-class KeySharingConnection:
+class KeySharingConnection(Duplex):
     """Sans-IO duplex splice around a :class:`KeySharingMiddlebox`.
 
     Handshake records are relayed verbatim; once keys arrive, application
@@ -132,28 +126,16 @@ class KeySharingConnection:
     do anything else).
     """
 
+    origin_label = "shared-key-middlebox"
+
     def __init__(self, middlebox: KeySharingMiddlebox) -> None:
+        super().__init__()
         self.middlebox = middlebox
-        self._planes = [RecordPlane(), RecordPlane()]
-        self.closed = False
-        self._started = False
-        self.origin_label = "shared-key-middlebox"
-        self.abort: SessionAborted | None = None
 
-    def start(self) -> None:
-        if self._started:
-            raise ProtocolError("key-sharing splice already started")
-        self._started = True
-
-    def receive_down(self, data: bytes) -> list:
-        return self._receive(_DOWN, "c2s", data)
-
-    def receive_up(self, data: bytes) -> list:
-        return self._receive(_UP, "s2c", data)
-
-    def _receive(self, side: int, direction: str, data: bytes) -> list:
+    def _receive(self, side: int, data: bytes) -> list:
         if self.closed:
             return []
+        direction = _DIRECTIONS[side]
         inbound = self._planes[side]
         outbound = self._planes[1 - side]
         events: list = []
@@ -179,47 +161,18 @@ class KeySharingConnection:
             outbound.queue_encoded(record)
         return events
 
-    def _abort(self, exc: Exception, events: list) -> None:
-        if isinstance(exc, IntegrityError):
-            description = AlertDescription.BAD_RECORD_MAC
-        elif isinstance(exc, ProtocolError):
-            description = AlertDescription.from_name(getattr(exc, "alert", "internal_error"))
-        else:
-            description = AlertDescription.DECODE_ERROR
-        name = description.name.lower()
-        payload = Alert.fatal(description, origin=self.origin_label).encode()
-        for plane, direction in ((self._planes[_DOWN], "s2c"), (self._planes[_UP], "c2s")):
-            try:
-                sealed = self.middlebox.seal_alert(direction, payload)
-                if sealed is not None:
-                    plane.queue_encoded(sealed)
-                else:
-                    plane.queue_record(ContentType.ALERT, payload)
-            except (CryptoError, ProtocolError):
-                pass
-        self.closed = True
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        events.append(
-            ConnectionClosed(error=f"{name}: {exc}", alert=name, origin=self.origin_label)
-        )
-
-    def data_to_send_down(self) -> bytes:
-        return self._planes[_DOWN].data_to_send()
-
-    def data_to_send_up(self) -> bytes:
-        return self._planes[_UP].data_to_send()
-
-    def peer_closed_down(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="client segment closed")]
-
-    def peer_closed_up(self) -> list:
-        if self.closed:
-            return []
-        self.closed = True
-        return [ConnectionClosed(error="server segment closed")]
+    def _send_alert(self, side: int, alert: Alert) -> None:
+        """Seal the alert under the shared keys once they have arrived."""
+        payload = alert.encode()
+        plane = self._planes[side]
+        try:
+            sealed = self.middlebox.seal_alert(_DIRECTIONS[1 - side], payload)
+            if sealed is not None:
+                plane.queue_encoded(sealed)
+            else:
+                plane.queue_record(ContentType.ALERT, payload)
+        except (CryptoError, ProtocolError):
+            pass
 
 
 class KeySharingService:

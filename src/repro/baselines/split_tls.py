@@ -81,6 +81,8 @@ class SplitTLSMiddlebox:
         self.down_engine.origin_label = "split-tls-middlebox"
         self.up_engine.origin_label = "split-tls-middlebox"
         self._process = process
+        # Client data that arrived before the upstream handshake finished.
+        self._pending_up = b""
         self.records_processed = 0
         self.closed = False
         self.abort: SessionAborted | None = None
@@ -101,7 +103,7 @@ class SplitTLSMiddlebox:
                 if self.up_engine.handshake_complete:
                     self.up_engine.send_application_data(transformed)
                 else:
-                    self._pending_up = getattr(self, "_pending_up", b"") + transformed
+                    self._pending_up += transformed
             elif isinstance(event, ConnectionClosed):
                 self._segment_closed(self.down_engine, self.up_engine)
             out.append(event)
@@ -120,9 +122,8 @@ class SplitTLSMiddlebox:
             elif isinstance(event, ConnectionClosed):
                 self._segment_closed(self.up_engine, self.down_engine)
         # Flush data the client sent before the upstream handshake finished.
-        pending = getattr(self, "_pending_up", b"")
-        if pending and self.up_engine.handshake_complete:
-            self.up_engine.send_application_data(pending)
+        if self._pending_up and self.up_engine.handshake_complete:
+            self.up_engine.send_application_data(self._pending_up)
             self._pending_up = b""
         return events
 

@@ -17,78 +17,33 @@ via ``ignore_unknown_records``.
 
 from __future__ import annotations
 
-from repro.core.config import (
-    MbTLSEndpointConfig,
-    MiddleboxInfo,
-    MiddleboxRejected,
-    SessionEstablished,
-)
+from repro.core.config import MbTLSEndpointConfig, MiddleboxInfo, SessionEstablished
+from repro.core.endpoint import MbTLSEndpoint
 from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_endpoint
 from repro.core.mux import Subchannel
 from repro import obs
-from repro.errors import DecodeError, IntegrityError, ProtocolError, SessionAborted
-from repro.io.record_plane import RecordPlane
+from repro.errors import DecodeError, IntegrityError, ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
-from repro.tls.events import (
-    AlertReceived,
-    AnnouncementReceived,
-    ApplicationData,
-    ConnectionClosed,
-    Event,
-    HandshakeComplete,
-    MiddleboxJoined,
-)
-from repro.wire.alerts import Alert, AlertDescription
-from repro.wire.mbtls import EncapsulatedRecord, KeyMaterial, MiddleboxAnnouncement
-from repro.wire.records import ContentType, Record
+from repro.tls.events import AnnouncementReceived, Event
+from repro.wire.mbtls import EncapsulatedRecord, MiddleboxAnnouncement
 
 __all__ = ["MbTLSServerEngine"]
 
 
-class MbTLSServerEngine:
+class MbTLSServerEngine(MbTLSEndpoint):
     """Sans-IO mbTLS server."""
 
     is_client = False
+    origin_label = "server"
 
     def __init__(self, config: MbTLSEndpointConfig) -> None:
-        self.config = config
-        self.primary = TLSServerEngine(config.tls)
-        # The plane's read/write states are the server-adjacent hop keys,
-        # installed at establishment; before that everything is forwarded raw.
-        self._plane = RecordPlane()
-        self._events: list[Event] = []
-        self._secondaries: dict[int, Subchannel] = {}
-        self._arrival_order: list[int] = []
-        self._middlebox_infos: dict[int, MiddleboxInfo] = {}
+        super().__init__(config, TLSServerEngine(config.tls))
         self._announcement_window_open = True
-        self.established = False
-        self.closed = False
         self._pending_app_data: list[bytes] = []
-        self.records_dropped = 0
-        # Alert-plane attribution (see DESIGN.md §9).
-        self.origin_label = "server"
-        self.primary.origin_label = self.origin_label
-        self._plane.party = self.origin_label
-        self._session_span = None
-        self.abort: SessionAborted | None = None
-        # Subchannels abandoned because their middlebox stalled or died
-        # mid-handshake (graceful degradation, not rejection-by-policy).
-        self.bypassed_subchannels: list[int] = []
-        # Every decision to proceed without a path member, as
-        # (subchannel_id, reason) — the downgrade-visibility ledger.
-        self.fallback_decisions: list[tuple[int, str]] = []
 
     # ------------------------------------------------------------------ API
-
-    def start(self) -> None:
-        self._session_span = obs.tracer().begin(
-            "handshake.mbtls", party=self.origin_label)
-        self.primary.start()
-
-    def data_to_send(self) -> bytes:
-        return self._plane.data_to_send()
 
     def receive_bytes(self, data: bytes) -> list[Event]:
         if self.closed:
@@ -101,40 +56,8 @@ class MbTLSServerEngine:
         except (IntegrityError, ProtocolError) as exc:
             # Unparseable or forged input on the primary stream: answer with
             # a fatal alert on whatever plane is live, then shut down.
-            self._abort(exc)
-        events = self._events
-        self._events = []
-        return events
-
-    def _abort(self, exc: Exception) -> None:
-        """Send a fatal alert for ``exc`` and close (the abort invariant)."""
-        if self.closed:
-            return
-        if isinstance(exc, IntegrityError):
-            description = AlertDescription.BAD_RECORD_MAC
-        else:
-            description = AlertDescription.from_name(
-                getattr(exc, "alert", "internal_error")
-            )
-        name = description.name.lower()
-        alert = Alert.fatal(description, origin=self.origin_label)
-        try:
-            if self._plane.write_state is not None:
-                self._plane.queue_record(ContentType.ALERT, alert.encode())
-            else:
-                self.primary._plane.queue_record(ContentType.ALERT, alert.encode())
-                self._drain_primary()
-        except ProtocolError:
-            pass
-        self.closed = True
-        obs.counter("alerts_sent", origin=self.origin_label, alert=name).inc()
-        obs.tracer().end(self._session_span, error=name)
-        self.abort = SessionAborted(str(exc), origin=self.origin_label, alert=name)
-        self._events.append(
-            ConnectionClosed(
-                error=f"{name}: {exc}", alert=name, origin=self.origin_label
-            )
-        )
+            self._abort(exc, self._events)
+        return self._take_events()
 
     def send_application_data(self, data: bytes) -> None:
         if self.closed:
@@ -145,161 +68,10 @@ class MbTLSServerEngine:
             return
         self._send_app_now(data)
 
-    def _send_app_now(self, data: bytes) -> None:
-        if self._plane.write_state is not None:
-            self._plane.queue_application_data(data)
-        else:
-            self.primary.send_application_data(data)
-            self._drain_primary()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        alert = Alert.close_notify()
-        if self._plane.write_state is not None:
-            self._plane.queue_record(ContentType.ALERT, alert.encode())
-        else:
-            self.primary.close()
-            self._drain_primary()
-        self._events.append(ConnectionClosed())
-
-    @property
-    def middleboxes(self) -> tuple[MiddleboxInfo, ...]:
-        """Joined middleboxes in path order from the client.
-
-        Each middlebox emits its own announcement before relaying those of
-        middleboxes upstream (closer to the client), so announcements reach
-        the server nearest-server-first; path order is the reverse.
-        """
-        return tuple(
-            self._middlebox_infos[sub]
-            for sub in reversed(self._arrival_order)
-            if sub in self._middlebox_infos and not self._secondaries[sub].rejected
-        )
-
-    @property
-    def resumed(self) -> bool:
-        return self.primary.resumed
-
-    @property
-    def _data_read(self):
-        """The server-adjacent hop read state (None until established)."""
-        return self._plane.read_state
-
-    @property
-    def _data_write(self):
-        """The server-adjacent hop write state (None until established)."""
-        return self._plane.write_state
-
-    def bypass_pending_middleboxes(
-        self, reason: str = "secondary handshake timed out"
-    ) -> list[Event]:
-        """Exclude middleboxes that announced but never finished their
-        secondary handshake, and establish without them if the primary is
-        done (graceful degradation; driven by the driver's timer)."""
-        if self.established or self.closed:
-            return []
-        for sub in self._secondaries.values():
-            if sub.complete:
-                continue
-            sub.complete = True
-            sub.rejected = True
-            sub.reject_reason = reason
-            self.bypassed_subchannels.append(sub.subchannel_id)
-            self._note_fallback(sub.subchannel_id, "middlebox_bypassed")
-            obs.counter("middleboxes_bypassed", party=self.origin_label).inc()
-            obs.tracer().mark(
-                "middlebox.bypassed", party=self.origin_label,
-                subchannel=sub.subchannel_id, reason=reason,
-            )
-            self._events.append(
-                MiddleboxRejected(subchannel_id=sub.subchannel_id, reason=reason)
-            )
-        self._check_established()
-        events = self._events
-        self._events = []
-        return events
-
-    def peer_closed(self) -> list[Event]:
-        """The TCP stream died under us (crash, reset): report cleanly."""
-        if self.closed:
-            return []
-        self.closed = True
-        self._events.append(ConnectionClosed(error="transport closed"))
-        events = self._events
-        self._events = []
-        return events
-
-    # Back-compat alias for pre-contract callers.
-    handle_transport_close = peer_closed
-
     # ------------------------------------------------------------ internals
 
-    def _drain_primary(self) -> None:
-        self._plane.queue_raw(self.primary.data_to_send())
-
-    def _drain_secondary(self, sub: Subchannel) -> None:
-        self._plane.queue_raw(sub.drain())
-
-    def _process_record(self, record: Record) -> None:
-        if record.content_type == ContentType.MBTLS_ENCAPSULATED:
-            self._process_encapsulated(EncapsulatedRecord.from_record(record))
-            return
-        if self.established and self._plane.write_state is not None and record.content_type in (
-            ContentType.APPLICATION_DATA,
-            ContentType.ALERT,
-        ):
-            self._process_data_record(record)
-            return
-        events = self.primary.receive_bytes(record.encode())
-        self._drain_primary()
-        for event in events:
-            if isinstance(event, (ApplicationData, AlertReceived, ConnectionClosed)):
-                self._events.append(event)
-                if isinstance(event, ConnectionClosed):
-                    self.closed = True
-                    if self.abort is None:
-                        self.abort = self.primary.abort
-
-    def _process_data_record(self, record: Record) -> None:
-        try:
-            plaintext = self._plane.unprotect(record)
-        except IntegrityError as exc:
-            if self.config.tamper_policy == "abort":
-                self._abort(exc)
-            else:
-                # Tampered, replayed, or cross-hop record: discard it (P2/P4).
-                self.records_dropped += 1
-            return
-        if record.content_type == ContentType.APPLICATION_DATA:
-            self._events.append(ApplicationData(data=plaintext))
-        else:
-            alert = Alert.decode(plaintext)
-            self._events.append(AlertReceived(alert=alert))
-            if alert.is_fatal or alert.is_close:
-                self.closed = True
-                if alert.is_close:
-                    self._events.append(ConnectionClosed())
-                else:
-                    name = alert.description.name.lower()
-                    self.abort = SessionAborted(
-                        f"peer sent fatal {name}", origin=alert.origin, alert=name
-                    )
-                    self._events.append(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
-
-    def _process_encapsulated(self, encap: EncapsulatedRecord) -> None:
-        sub = self._secondaries.get(encap.subchannel_id)
-        if sub is None:
-            self._handle_announcement(encap)
-            return
-        events = sub.feed_inner(encap.inner)
-        self._drain_secondary(sub)
-        self._handle_secondary_events(sub, events)
-
-    def _handle_announcement(self, encap: EncapsulatedRecord) -> None:
+    def _open_subchannel(self, encap: EncapsulatedRecord) -> None:
+        """A server-side middlebox announced itself on a new subchannel."""
         try:
             MiddleboxAnnouncement.from_record(encap.inner)
         except DecodeError:
@@ -331,52 +103,13 @@ class MbTLSServerEngine:
         self._arrival_order.append(encap.subchannel_id)
         self._drain_secondary(sub)
 
-    def _handle_secondary_events(self, sub: Subchannel, events: list[Event]) -> None:
-        for event in events:
-            if isinstance(event, HandshakeComplete):
-                sub.complete = True
-                info = MiddleboxInfo(
-                    subchannel_id=sub.subchannel_id,
-                    certificate=sub.engine.peer_certificate,
-                    measurement=sub.engine.attested_measurement,
-                    discovered=True,
-                )
-                self._middlebox_infos[sub.subchannel_id] = info
-                if not self.config.approve_middlebox(info):
-                    sub.rejected = True
-                    self._note_fallback(sub.subchannel_id, "policy_rejected")
-                    self._events.append(
-                        MiddleboxRejected(
-                            subchannel_id=sub.subchannel_id,
-                            reason="application policy rejected the middlebox",
-                        )
-                    )
-                else:
-                    self._events.append(
-                        MiddleboxJoined(
-                            subchannel_id=sub.subchannel_id,
-                            name=info.name,
-                            certificate=info.certificate,
-                            measurement=info.measurement,
-                        )
-                    )
-            elif isinstance(event, ConnectionClosed) and not sub.complete:
-                sub.rejected = True
-                sub.complete = True
-                self._note_fallback(sub.subchannel_id, "secondary_failed")
-                self._events.append(
-                    MiddleboxRejected(
-                        subchannel_id=sub.subchannel_id,
-                        reason=event.error or "secondary handshake failed",
-                    )
-                )
-
-    def _note_fallback(self, subchannel_id: int, reason: str) -> None:
-        """Ledger + counter: the session will proceed without this member."""
-        self.fallback_decisions.append((subchannel_id, reason))
-        obs.counter(
-            "session.fallback", party=self.origin_label, reason=reason
-        ).inc()
+    def _middlebox_info(self, sub: Subchannel) -> MiddleboxInfo:
+        return MiddleboxInfo(
+            subchannel_id=sub.subchannel_id,
+            certificate=sub.engine.peer_certificate,
+            measurement=sub.engine.attested_measurement,
+            discovered=True,
+        )
 
     def _check_established(self) -> None:
         if self.established or not self.primary.handshake_complete:
@@ -388,26 +121,10 @@ class MbTLSServerEngine:
         self._establish()
 
     def _establish(self) -> None:
-        if self.fallback_decisions and not self.config.allow_fallback:
-            # Fail closed: see the client-side twin of this gate.
-            reasons = sorted({reason for _, reason in self.fallback_decisions})
-            self._abort(
-                ProtocolError(
-                    "refusing fallback to a degraded path "
-                    f"({len(self.fallback_decisions)} middlebox(es) excluded: "
-                    f"{', '.join(reasons)})",
-                    alert="insufficient_security",
-                )
-            )
+        if self._refuse_fallback():
             return
         suite = suite_by_code(self.primary.suite.code)
-        # Path order from the client = reversed announcement arrival order
-        # (see the `middleboxes` property).
-        active_order = [
-            sub_id
-            for sub_id in reversed(self._arrival_order)
-            if not self._secondaries[sub_id].rejected
-        ]
+        active_order = self._active_order()
         _, key_block = self.primary.export_key_block()
         bridge = bridge_hop_keys(suite, key_block)
         if active_order:
@@ -418,16 +135,7 @@ class MbTLSServerEngine:
                 bridge,
                 client_side=False,
             )
-            for index, sub_id in enumerate(active_order):
-                sub = self._secondaries[sub_id]
-                material = KeyMaterial(
-                    toward_client=hops[index], toward_server=hops[index + 1]
-                )
-                sub.engine.send_raw_record(
-                    ContentType.MBTLS_KEY_MATERIAL, material.encode_payload()
-                )
-                sub.keys_sent = True
-                self._drain_secondary(sub)
+            self._send_key_material(active_order, hops)
             data_read, data_write = hop_states_for_endpoint(
                 suite, hops[-1], is_client=False
             )

@@ -7,6 +7,8 @@ protocol engines (``repro.tls``, ``repro.core``, ``repro.baselines``):
   party implements (see ``tests/test_connection_contract.py``);
 * :class:`RecordPlane` — framing, AEAD protection, sequence state, and
   coalesced outbox buffering, owned once instead of per-engine;
+* :mod:`repro.io.endpoint` — ``alert_for`` and the endpoint / duplex bases
+  that own the alert, abort and close plumbing once;
 * :func:`pump` / :func:`pump_chain` / :class:`DuplexPump` — the only
   quiescence-loop implementations in the tree.
 """

@@ -1,8 +1,8 @@
 """The shared connection contract every protocol party implements.
 
 Every party in the tree — the plain TLS engines, the three mbTLS engines,
-and all five baselines — is a *sans-IO* state machine behind one of two
-surfaces:
+the three mdTLS classes, and the five other baselines — is a *sans-IO*
+state machine behind one of two surfaces:
 
 * :class:`Connection` — an endpoint: one byte stream in, one byte stream
   out (``start / receive_bytes -> events / data_to_send / close /
@@ -21,7 +21,13 @@ The contract (enforced by ``tests/test_connection_contract.py``):
   are empty.
 * sending application data after close raises
   :class:`~repro.errors.ProtocolError` instead of silently queueing.
-* the same DRBG seed yields a byte-identical wire transcript.
+* the same DRBG seed yields a byte-identical wire transcript;
+* a hostile record or frame draws exactly one fatal alert per live side,
+  attributed like ``abort``, and then the party is closed and silent.
+
+:mod:`repro.io.endpoint` implements the alert / abort / close part of this
+contract once, as the :class:`~repro.io.endpoint.Endpoint` and
+:class:`~repro.io.endpoint.Duplex` bases most parties inherit.
 
 This module also owns the *only* pump implementations in the tree:
 :func:`pump` (two directly connected endpoints), :func:`pump_chain`

@@ -59,8 +59,8 @@ class EngineDriver:
     """Pumps one engine over one socket.
 
     Args:
-        engine: any object with ``receive_bytes``, ``data_to_send`` and
-            (optionally) ``start``.
+        engine: any object with ``receive_bytes``, ``data_to_send``,
+            ``peer_closed`` and (optionally) ``start``.
         socket: the simulated socket to pump.
         on_event: callback invoked for each engine event.
         meter: optional CPU meter charged for engine processing time.
@@ -242,11 +242,7 @@ class EngineDriver:
         """The peer (or the network) closed the TCP stream under us."""
         self.transport_closed = True
         self._cancel_timers()
-        handle = getattr(self.engine, "peer_closed", None)
-        if handle is None:
-            handle = getattr(self.engine, "handle_transport_close", None)
-        if handle is not None:
-            self._dispatch(handle())
+        self._dispatch(self.engine.peer_closed())
 
 
 class DuplexDriver:

@@ -186,15 +186,9 @@ class TLSEngine:
             self._process_records(self._plane.pop_records())
         except IntegrityError:
             self._fatal(AlertDescription.BAD_RECORD_MAC, "record authentication failed")
-        except DecodeError as exc:
-            self._fatal(AlertDescription.DECODE_ERROR, str(exc))
-        except CertificateError as exc:
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
-        except AttestationError as exc:
-            self._fatal(AlertDescription.BAD_CERTIFICATE, str(exc))
-        except HandshakeError as exc:
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
         except ProtocolError as exc:
+            # Decode, certificate, attestation and handshake errors are all
+            # ProtocolErrors carrying the name of the alert they map to.
             self._fatal(AlertDescription.from_name(exc.alert), str(exc))
         events = self._events
         self._events = []

@@ -11,6 +11,8 @@ in ``repro/io/connection.py``:
 * receiving bytes after close yields no events;
 * ``close()`` and ``peer_closed*()`` are idempotent;
 * sending application data on a closed connection raises ``ProtocolError``;
+* a hostile record or frame draws exactly one fatal alert per live side,
+  attributed like ``abort``, and leaves the party closed and silent;
 * the same DRBG seed yields byte-identical wire transcripts (golden hashes
   captured before the record-plane refactor).
 """
@@ -45,10 +47,30 @@ from repro.core.config import MbTLSEndpointConfig, MiddleboxConfig, MiddleboxRol
 from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import ProtocolError
-from repro.io import Connection, DuplexConnection, pump
+from repro.errors import (
+    AttestationError,
+    CertificateError,
+    CryptoError,
+    DecodeError,
+    HandshakeError,
+    IntegrityError,
+    PolicyError,
+    ProtocolError,
+)
+from repro.io import (
+    FRAME_ALERT,
+    MAX_BUFFERED_BYTES,
+    Connection,
+    DuplexConnection,
+    pop_frames,
+    pump,
+)
+from repro.io.endpoint import alert_for
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
+from repro.tls.events import AlertReceived, ConnectionClosed
+from repro.wire.alerts import Alert
+from repro.wire.records import ContentType, RecordBuffer
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -365,6 +387,118 @@ class TestDuplexConnectionContract:
         conn.peer_closed_down()
         assert conn.receive_down(b"\x17\x03\x03\x00\x03abc") == []
         assert conn.receive_up(b"\x17\x03\x03\x00\x03abc") == []
+
+
+# ---------------------------------------------------------------------------
+# Abort contract: one hostile input, one attributed fatal alert per side
+# ---------------------------------------------------------------------------
+
+# An unknown record content type; read as a frame header, an absurd length.
+_HOSTILE = b"\x63\x03\x03\x00\x01X"
+# The mbTLS middlebox relays anything that is not TLS framing (legacy
+# compatibility), so its hostile input is a flight past the inbound bound.
+_HOSTILE_FOR = {"mbtls_middlebox": b"\x17\x03\x03" + bytes(MAX_BUFFERED_BYTES)}
+_FRAMED = {"mctls_inspector", "blindbox_inspector"}
+
+
+def _wire_alerts(name: str, data: bytes) -> list[Alert]:
+    """The alerts in one outbound stream (all of them travel in plaintext)."""
+    if name in _FRAMED:
+        return [
+            Alert.decode(payload)
+            for kind, payload in pop_frames(bytearray(data))
+            if kind == FRAME_ALERT
+        ]
+    buffer = RecordBuffer()
+    buffer.feed(data)
+    return [
+        Alert.decode(bytes(record.payload))
+        for record in buffer.pop_records()
+        if record.content_type == ContentType.ALERT
+    ]
+
+
+def _assert_attributed(alerts: list[Alert], abort) -> None:
+    assert len(alerts) == 1
+    alert = alerts[0]
+    assert alert.is_fatal and not alert.is_close
+    assert alert.description.name.lower() == abort.alert
+    assert alert.origin == abort.origin
+
+
+def _abort_endpoint(make_pair, name):
+    a, b, needs_pump = make_pair(name)
+    a.start()
+    b.start()
+    if needs_pump:
+        pump(a, b)
+    events = a.receive_bytes(_HOSTILE)
+    assert a.closed and a.abort is not None
+    closed = events[-1]
+    assert isinstance(closed, ConnectionClosed)
+    assert (closed.alert, closed.origin) == (a.abort.alert, a.abort.origin)
+    # The peer decodes the alert under whatever keys protect it.
+    received = b.receive_bytes(a.data_to_send())
+    _assert_attributed(
+        [event.alert for event in received if isinstance(event, AlertReceived)],
+        a.abort,
+    )
+    assert a.receive_bytes(_HOSTILE) == []
+    assert a.data_to_send() == b""
+
+
+def _abort_duplex(make_duplex, name):
+    conn, stimulate = make_duplex(name)
+    conn.start()
+    if stimulate is not None:
+        stimulate()
+    conn.data_to_send_down()
+    conn.data_to_send_up()
+    hostile = _HOSTILE_FOR.get(name, _HOSTILE)
+    events = conn.receive_down(hostile)
+    if name == "splice_relay":
+        # The splice parses nothing: it has no abort, only verbatim bytes.
+        assert conn.data_to_send_up() == hostile
+        assert (events, conn.closed, conn.abort) == ([], False, None)
+        return
+    assert conn.closed and conn.abort is not None
+    closed = events[-1]
+    assert isinstance(closed, ConnectionClosed)
+    assert (closed.alert, closed.origin) == (conn.abort.alert, conn.abort.origin)
+    _assert_attributed(_wire_alerts(name, conn.data_to_send_down()), conn.abort)
+    _assert_attributed(_wire_alerts(name, conn.data_to_send_up()), conn.abort)
+    assert conn.receive_down(hostile) == []
+    assert conn.receive_up(hostile) == []
+    assert conn.data_to_send_down() == b""
+    assert conn.data_to_send_up() == b""
+
+
+@pytest.mark.parametrize("name", [*ENDPOINT_CASES, *DUPLEX_CASES])
+def test_hostile_input_aborts_with_one_attributed_alert(make_pair, make_duplex, name):
+    if name in ENDPOINT_CASES:
+        _abort_endpoint(make_pair, name)
+    else:
+        _abort_duplex(make_duplex, name)
+
+
+@pytest.mark.parametrize(
+    "exc, alert",
+    [
+        (IntegrityError("tag mismatch"), "bad_record_mac"),
+        (PolicyError("no read access"), "access_denied"),
+        (ProtocolError("bad state", alert="unexpected_message"), "unexpected_message"),
+        (ProtocolError("unnamed"), "internal_error"),
+        (DecodeError("truncated"), "decode_error"),
+        (CertificateError("untrusted"), "bad_certificate"),
+        (CertificateError("stale", alert="certificate_expired"), "certificate_expired"),
+        (AttestationError("bad quote"), "bad_certificate"),
+        (HandshakeError("no common suite"), "handshake_failure"),
+        (CryptoError("bad key size"), "decode_error"),
+        (KeyError(7), "decode_error"),
+    ],
+)
+def test_alert_for_maps_each_failure(exc, alert):
+    assert alert_for(exc).name.lower() == alert
 
 
 # ---------------------------------------------------------------------------
