@@ -5,12 +5,14 @@ Two measurements back the fast-path work in ``repro.crypto``:
 * **Primitives** — seal/open throughput of each AEAD suite at a full-size
   TLS record (16 KiB), against a faithful re-implementation of the
   pre-fast-path scalar code (per-block ``encrypt_block`` CTR, per-block
-  Shoup GHASH) so the speedup is measured, not remembered.
+  Shoup GHASH) so the speedup is measured, not remembered.  AES-GCM seal
+  is also timed per record at small sizes (64 B to 4 KiB), on both sides
+  of the byte-sliced/bitsliced CTR cutover.
 * **Chain** — end-to-end records/sec streaming application data through a
   client - middlebox - middlebox - server world on the deterministic
   network simulator, with every hop paying real AEAD costs. Run twice:
-  once on the fast path and once with the bitsliced/aggregated thresholds
-  forced off, which is the pre-fast-path data plane.
+  once on the fast path and once on the scalar T-table CTR loop with
+  GHASH tables and batching off, which is the pre-fast-path data plane.
 
 ``run()`` returns the report dict written to ``BENCH_crypto.json``;
 ``check_regression()`` is the CI perf-smoke gate (machine-independent
@@ -30,6 +32,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "git_describe",
     "bench_primitives",
+    "bench_small_records",
     "bench_chain",
     "run",
     "check_regression",
@@ -38,6 +41,7 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 RECORD_BYTES = 16384  # one max-size TLS record
+SMALL_RECORD_BYTES = (64, 512, 1024, 4096)
 
 
 def git_describe() -> str:
@@ -183,12 +187,58 @@ def bench_primitives(
     return results
 
 
+def bench_small_records(
+    sizes: tuple[int, ...] = SMALL_RECORD_BYTES,
+    repeats: int = 10,
+    legacy_repeats: int = 3,
+) -> list[dict]:
+    """AES-GCM seal time per record at small sizes, vs the scalar path.
+
+    Each timing covers enough records to take a few milliseconds; GHASH
+    tables are built first, as in a long-lived session.
+    """
+    nonce = b"\x00" * 11 + b"\x01"
+    aad = b"\x00" * 13
+    results = []
+    for name, factory in _SUITES:
+        aead = factory()
+        if not isinstance(aead, AESGCM):
+            continue
+        aead._ghash._byte_tables()
+        for size in sizes:
+            plaintext = (bytes(range(256)) * (size // 256 + 1))[:size]
+            batch = max(1, 8192 // size)
+
+            def seal(fn=aead.encrypt):
+                for _ in range(batch):
+                    fn(nonce, plaintext, aad)
+
+            def legacy_seal():
+                for _ in range(batch):
+                    _legacy_gcm_seal(aead, nonce, plaintext, aad)
+
+            assert _legacy_gcm_seal(aead, nonce, plaintext, aad) == \
+                aead.encrypt(nonce, plaintext, aad), "legacy path diverged"
+            seal_s = _time_per_call(seal, repeats) / batch
+            legacy_s = _time_per_call(legacy_seal, legacy_repeats) / batch
+            results.append({
+                "suite": name,
+                "record_bytes": size,
+                "keystream_blocks": (size + 15) // 16 + 1,
+                "seal_us_per_record": round(seal_s * 1e6, 1),
+                "legacy_seal_us_per_record": round(legacy_s * 1e6, 1),
+                "seal_speedup": round(legacy_s / seal_s, 2),
+            })
+    return results
+
+
 # --------------------------------------------------------------------- chain
 
 
 class _scalar_crypto:
     """Force the pre-fast-path code: scalar CTR, per-block GHASH, no batch.
 
+    Every keystream comes from the T-table loop ``AES._ctr_scalar``.
     GHASH tables serve every record once a key has built them, so the
     scalar leg keeps them off by never letting a key reach the build gate
     (its keys are fresh: the leg uses its own seed).
@@ -198,12 +248,12 @@ class _scalar_crypto:
         from repro.tls.record_layer import ConnectionState
 
         self._saved = (
-            AES._BITSLICE_THRESHOLD,
+            AES.ctr_keystream,
             _GHash._BULK_BUILD_BYTES,
             ConnectionState.protect_many,
             ConnectionState.unprotect_many,
         )
-        AES._BITSLICE_THRESHOLD = 1 << 60
+        AES.ctr_keystream = AES._ctr_scalar
         _GHash._BULK_BUILD_BYTES = 1 << 60
         # None makes every batch-capable caller fall back to its
         # sequential per-record loop (they all test `is not None`).
@@ -217,7 +267,7 @@ class _scalar_crypto:
 
         self._chacha.__exit__(*exc)
         (
-            AES._BITSLICE_THRESHOLD,
+            AES.ctr_keystream,
             _GHash._BULK_BUILD_BYTES,
             ConnectionState.protect_many,
             ConnectionState.unprotect_many,
@@ -387,9 +437,11 @@ def run(quick: bool = False, workers: int | None = None) -> dict:
     """The full crypto bench report (written to ``BENCH_crypto.json``)."""
     if quick:
         primitives = bench_primitives(repeats=3, legacy_repeats=1)
+        small = bench_small_records(repeats=3, legacy_repeats=1)
         chain = bench_chain(flights=4, workers=workers)
     else:
         primitives = bench_primitives()
+        small = bench_small_records()
         chain = bench_chain(workers=workers)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -398,6 +450,7 @@ def run(quick: bool = False, workers: int | None = None) -> dict:
         "quick": quick,
         "record_bytes": RECORD_BYTES,
         "primitives": primitives,
+        "small_records": small,
         "chain": chain,
     }
 

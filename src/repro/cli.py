@@ -352,6 +352,14 @@ def _cmd_bench(args) -> None:
     ]
     print(render_table("Bulk crypto — 16 KiB records",
                        ["suite", "seal MB/s", "open MB/s", "vs scalar"], rows))
+    rows = [
+        [p["suite"], str(p["record_bytes"]), f"{p['seal_us_per_record']:,.0f}",
+         f"{p['legacy_seal_us_per_record']:,.0f}", f"{p['seal_speedup']}"]
+        for p in report["small_records"]
+    ]
+    print(render_table("AES-GCM seal — small records",
+                       ["suite", "bytes", "µs/record", "scalar µs", "vs scalar"],
+                       rows))
     chain = report["chain"]
     print(f"chain ({chain['middleboxes']} middleboxes): "
           f"{chain['records_per_sec']:,.0f} rec/s fast, "

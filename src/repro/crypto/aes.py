@@ -2,8 +2,8 @@
 
 Only the forward (encryption) transform is implemented because every mode
 used by this library (CTR inside GCM) needs only block encryption. The
-implementation uses the classic four T-tables so that bulk encryption is
-tolerably fast in pure Python.
+scalar reference uses the classic four T-tables; CTR keystreams come from
+the vectorised engines in :mod:`repro.crypto.bitsliced`.
 
 Tables are derived programmatically from GF(2^8) arithmetic rather than
 hard-coded, so a typo cannot silently corrupt the S-box; correctness is
@@ -91,11 +91,12 @@ class AES:
 
     block_size = 16
 
-    # Below this many counter blocks the scalar T-table loop wins; from
-    # it on the bitsliced big-int circuit, whose cost hardly grows with
-    # the block count up to a few dozen blocks, is cheaper (measured
-    # crossover: about 8 blocks).
-    _BITSLICE_THRESHOLD = 8
+    # Below this many counter blocks the byte-sliced engine runs, from it
+    # on the bitsliced one.  The byte-sliced engine does ~30 whole-state
+    # operations per round against ~270 plane operations, but its state
+    # is eight times wider; the two cost the same at about 120 blocks
+    # (measured crossover).
+    _BITSLICE_THRESHOLD = 120
 
     def __init__(self, key: bytes) -> None:
         if len(key) not in (16, 24, 32):
@@ -103,6 +104,7 @@ class AES:
         self._round_keys = self._expand_key(key)
         self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
         self._bitsliced = None
+        self._bytesliced = None
 
     @staticmethod
     def _expand_key(key: bytes) -> list[int]:
@@ -143,9 +145,10 @@ class AES:
                       nblocks: int) -> bytes:
         """Keystream of blocks ``E_K(prefix || BE32(initial_counter + j))``.
 
-        The counter wraps modulo 2^32 as in NIST SP 800-38D.  Large
-        requests are generated by the bitsliced big-int engine in one
-        pass; small ones fall back to the per-block T-table loop.
+        The counter wraps modulo 2^32 as in NIST SP 800-38D.  Every
+        request runs one pass of a vectorised engine over all its blocks:
+        the byte-sliced one below ``_BITSLICE_THRESHOLD`` blocks, the
+        bitsliced one from there on (see :mod:`repro.crypto.bitsliced`).
         """
         if len(prefix) != 12:
             raise CryptoError("CTR prefix must be 12 bytes")
@@ -158,15 +161,23 @@ class AES:
 
                 engine = BitslicedCtr(self._round_keys, self._rounds)
                 self._bitsliced = engine
-            return engine.keystream(prefix, initial_counter, nblocks)
-        return self._ctr_scalar(prefix, initial_counter, nblocks)
+        else:
+            engine = self._bytesliced
+            if engine is None:
+                from repro.crypto.bitsliced import ByteslicedCtr
+
+                engine = ByteslicedCtr(self._round_keys, self._rounds)
+                self._bytesliced = engine
+        return engine.keystream(prefix, initial_counter, nblocks)
 
     def _ctr_scalar(self, prefix: bytes, initial_counter: int,
                     nblocks: int) -> bytes:
         """The T-table rounds over each counter block in one loop.
 
-        Only the counter word differs between blocks, so round 1's
-        lookups on the three prefix words are done once per call.
+        The one scalar reference: it serves :meth:`encrypt_block` and
+        checks the vectorised engines.  Only the counter word differs
+        between blocks, so round 1's lookups on the three prefix words
+        are done once per call.
         """
         rk = self._round_keys
         t0, t1, t2, t3 = _T0, _T1, _T2, _T3

@@ -1,18 +1,21 @@
-"""Bitsliced AES-CTR keystream generation over Python big ints.
+"""Vectorised AES-CTR keystream generation over Python big ints.
 
 The scalar T-table path in :mod:`repro.crypto.aes` costs ~160 table
 lookups per 16-byte block; at record sizes that makes AES-GCM the
-bottleneck of the whole data plane.  This module instead evaluates AES
-as a boolean circuit over 8 *bit planes*, where each plane is one
-arbitrarily large Python int — a single ``&``/``^``/``>>`` then acts on
-every block of a record at once (big-int SIMD).
+bottleneck of the whole data plane.  This module holds two engines that
+instead run each round once over every counter block of a request, with
+one big-int operation acting on all blocks at once (big-int SIMD).
+:meth:`repro.crypto.aes.AES.ctr_keystream` picks the byte-sliced engine
+below ``AES._BITSLICE_THRESHOLD`` blocks and the bitsliced one from it.
 
-Layout
-------
-Plane ``p`` (p = bit significance, LSB first) is an int made of 16
-fields of ``N`` bits, where ``N`` is the number of counter blocks in
-the batch.  Field ``b = 4*col + row`` occupies bits ``[b*N, (b+1)*N)``;
-bit ``j`` of a field belongs to block ``j``.  With that layout:
+Bitsliced layout
+----------------
+:class:`BitslicedCtr` evaluates AES as a boolean circuit over 8 *bit
+planes*.  Plane ``p`` (p = bit significance, LSB first) is an int made
+of 16 fields of ``N`` bits, where ``N`` is the number of counter blocks
+in the batch.  Field ``b = 4*col + row`` occupies bits
+``[b*N, (b+1)*N)``; bit ``j`` of a field belongs to block ``j``.  With
+that layout:
 
 * AddRoundKey is 8 XORs with per-key precomputed field masks,
 * MixColumns is two masked field rotations per plane,
@@ -32,6 +35,16 @@ leave such a state unchanged, so it is folded into the next round key.
 The circuit is checked against the S-box table for all 256 inputs at
 import.
 
+Byte-sliced layout
+------------------
+:class:`ByteslicedCtr` keeps the same 16 fields and frames, but each
+field is ``n`` bytes wide and byte ``j`` of field ``b`` is byte ``b`` of
+block ``j``.  SubBytes is one ``bytes.translate`` of the whole state,
+xtime is six masked whole-int operations, and a middle round is about 30
+whole-state operations against ~270 plane operations.  Those operations
+act on a state eight times wider, so the bitsliced engine wins from
+about 120 blocks on.
+
 Only the encrypt direction exists — CTR mode never decrypts blocks.
 """
 
@@ -39,7 +52,7 @@ from __future__ import annotations
 
 import re
 
-from repro.crypto.aes import _SBOX
+from repro.crypto.aes import AES, _SBOX
 
 # Inputs x0..x7 are bits 7..0 of the byte, outputs s0..s7 likewise.
 _SBOX_CIRCUIT = """
@@ -194,7 +207,7 @@ def _compile_cipher():
     ``_cipher(planes, rkm, layout)`` takes the 8 input planes with round
     key 0 already added and, per round 1..Nr, the round key planes plus
     that round's MixColumns column rotations (see
-    :meth:`BitslicedCtr._round_masks`); it returns the 8 output planes.
+    :meth:`_CtrEngine._round_keys`); it returns the 8 output planes.
     Each middle round (SubBytes, MixColumns, AddRoundKey; ShiftRows is
     the frame change) is one straight-line block of big-int operations
     on local variables inside a loop over the rounds, so the interpreter
@@ -263,65 +276,116 @@ def _rep64(m64: int, ngroups: int) -> int:
     return v & ((1 << total) - 1)
 
 
-class _Layout:
-    """Per-batch-size (N) constants, shared by every key."""
+class _FieldLayout:
+    """Constants of one padded batch size ``n``: 16 fields of ``width`` bits.
 
-    # Enough for every padded size of records up to 4 KiB (8..264 blocks
-    # with the GCM tag block) plus a few bulk sizes.
-    _CACHE_SIZE = 40
-    _cache: dict[int, "_Layout"] = {}
+    Built once per size and shared by every key; each engine's layout
+    keeps its own bounded LRU cache of sizes.
+    """
 
-    def __new__(cls, n: int) -> "_Layout":
-        layout = cls._cache.get(n)
-        if layout is None:
-            layout = super().__new__(cls)
+    _BITS_PER_BLOCK: int
+    _CACHE_SIZE: int
+    _cache: dict
+
+    def __new__(cls, n: int):
+        def build():
+            if n % 8:
+                raise ValueError("batch size must be a multiple of 8")
+            layout = object.__new__(cls)
             layout._init(n)
-            _store(cls._cache, n, layout, cls._CACHE_SIZE)
-        return layout
+            return layout
+        return _lru(cls._cache, n, cls._CACHE_SIZE, build)
 
     def _init(self, n: int) -> None:
-        if n % 8:
-            raise ValueError("batch size must be a multiple of 8")
         self.n = n
-        ones = (1 << n) - 1
-        self.allones = (1 << (16 * n)) - 1
-        # Bit 0 of every field: times ``ones`` it fills the fields whose
-        # bit 0 is set.
-        self.lows = self.allones // ones
-        rows = [sum(ones << ((4 * c + r) * n) for c in range(4))
+        width = self.width = n * self._BITS_PER_BLOCK
+        ones = (1 << width) - 1
+        self.allones = (1 << (16 * width)) - 1
+        rows = [sum(ones << ((4 * c + r) * width) for c in range(4))
                 for r in range(4)]
         self.row0 = rows[0]
         self.not_row0 = self.allones ^ rows[0]
         self.rows01 = rows[0] | rows[1]
         self.rows23 = rows[2] | rows[3]
+        # Per frame: MixColumns' two whole-int rotations, by k and 2k
+        # columns, as right/left shift pairs.
+        total = 16 * width
+        self.shifts = []
+        for k in range(4):
+            cr1 = 4 * width * k
+            cr2 = 4 * width * (2 * k % 4)
+            self.shifts.append((cr1, total - cr1, cr2, total - cr2))
+        # Counter fields per initial counter (see ``counter``).
+        self.ctr: dict = {}
+
+
+class _Layout(_FieldLayout):
+    """The bitsliced engine's layout: one bit of each block per field."""
+
+    _BITS_PER_BLOCK = 1
+    # Enough for every padded size of records up to 4 KiB (8..264 blocks
+    # with the GCM tag block) plus a few bulk sizes.
+    _CACHE_SIZE = 40
+    _cache: dict[int, "_Layout"] = {}
+
+    def _init(self, n: int) -> None:
+        super()._init(n)
+        # Bit 0 of every field: times ``ones`` it fills the fields whose
+        # bit 0 is set.
+        self.lows = self.allones // ((1 << n) - 1)
         # 8x8 bit-matrix transpose masks for the interleaved plane buffer
         # (8 * 2n bytes = 16n 64-bit groups / 8) and for byte streams.
         self.t8_out = [(d, _rep64(m, 2 * n)) for d, m in _T8]
         self.t8_n = [(d, _rep64(m, n // 8)) for d, m in _T8]
-        self.ctr_planes: dict[int, list[int]] = {}
+
+    def spread(self, block: bytes) -> list[int]:
+        """The 8 planes of a 16-byte state repeated in every block.
+
+        The bytes are placed ``n`` bits apart, one per field; for each
+        plane the wanted bit of every byte is shifted to bit 0 of its
+        field, masked, and multiplied by the all-ones field to fill it.
+        """
+        n = self.n
+        buf = bytearray(2 * n)
+        buf[::n // 8] = block
+        s = int.from_bytes(buf, "little")
+        lows = self.lows
+        fill = (1 << n) - 1
+        return [((s >> p) & lows) * fill for p in range(8)]
+
+    def counter(self, c0: int) -> list[int]:
+        """The planes of fields 12..15 holding the counters ``c0 + j``."""
+        def build():
+            n = self.n
+            ctr = [0] * 8
+            for pos, seq in enumerate(_counter_bytes(c0, n)):
+                shift = (12 + pos) * n
+                for p, bits in enumerate(_byte_planes(seq, self)):
+                    ctr[p] |= bits << shift
+            return ctr
+        return _lru(self.ctr, c0, 4, build)
 
 
-def _store(cache: dict, key, value, size: int) -> None:
-    """Insert into a bounded cache, evicting the oldest entry when full."""
-    if len(cache) >= size:
-        del cache[next(iter(cache))]
-    cache[key] = value
+def _lru(cache: dict, key, size: int, build):
+    """``cache[key]``, built by ``build()`` on a miss; hits become newest.
 
-
-def _spread(block: bytes, layout: _Layout) -> list[int]:
-    """The 8 planes of a 16-byte state repeated in every block.
-
-    The bytes are placed ``n`` bits apart, one per field; for each plane
-    the wanted bit of every byte is shifted to bit 0 of its field, masked,
-    and multiplied by the all-ones field to fill the field.
+    A miss in a full cache first evicts the least recently used entry.
     """
-    n = layout.n
-    buf = bytearray(2 * n)
-    buf[::n // 8] = block
-    s = int.from_bytes(buf, "little")
-    lows = layout.lows
-    fill = (1 << n) - 1
-    return [((s >> p) & lows) * fill for p in range(8)]
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _unslice(raw: bytes, n: int, frame: list[int]) -> bytes:
+    """Blocks from 16 fields of ``n`` bytes holding state bytes ``frame[b]``."""
+    out = bytearray(16 * n)
+    for b in range(16):
+        out[frame[b]::16] = raw[b * n:(b + 1) * n]
+    return bytes(out)
 
 
 def _transpose8(x: int, masks) -> int:
@@ -355,93 +419,159 @@ def _counter_bytes(c0: int, n: int) -> list[bytes]:
     return [bytes(h) for h in highs] + [bytes(lows)]
 
 
-class BitslicedCtr:
-    """Bitsliced CTR keystream engine bound to one expanded AES key."""
+class _CtrEngine:
+    """A CTR keystream engine bound to one expanded AES key.
 
-    __slots__ = ("_key_bytes", "_rounds", "_rk_masks")
+    Subclasses give their layout class, how a round key spreads into
+    that layout, and the cipher pass from the first state to the raw
+    output fields.
+    """
 
-    # Padded block counts whose round-key masks one key keeps: every size
-    # of records up to 4 KiB, as in the layout cache.  A full cache evicts
-    # its least recently used entry.
-    _MASK_CACHE_SIZE = 40
+    __slots__ = ("_key_bytes", "_rounds", "_rk_cache")
+
+    _LAYOUT: type
+    # Padded block counts whose round-key material one key keeps.  A full
+    # cache evicts its least recently used entry.
+    _KEY_CACHE_SIZE: int
 
     def __init__(self, round_keys: list[int], rounds: int) -> None:
         # Round-key bytes in state order: byte 16*rnd + b is state byte b.
         self._key_bytes = b"".join(w.to_bytes(4, "big") for w in round_keys)
         self._rounds = rounds
-        self._rk_masks: dict[int, list[tuple[int, ...]]] = {}
+        self._rk_cache: dict[int, list[tuple[int, ...]]] = {}
 
-    def _round_masks(self, layout: _Layout) -> list[tuple[int, ...]]:
-        """Per round 1..Nr: its key planes, then MixColumns' rotations.
+    def _round_keys(self, layout) -> list[tuple[int, ...]]:
+        """Per round 1..Nr: its spread key, then MixColumns' rotations.
 
         Round ``k`` works in frame ``k``: its key bytes are permuted into
-        that frame and carry the S-box constant, and its two MixColumns
-        rotations first rotate the int right by ``k`` and ``2k`` columns
-        (as right/left shift pairs).  Round 0 is added per call.
+        that frame, and its two MixColumns rotations first rotate the int
+        right by ``k`` and ``2k`` columns.  Round 0 is added per call.
         """
-        cache = self._rk_masks
-        masks = cache.pop(layout.n, None)
-        if masks is None:
-            n = layout.n
+        def build():
             kb = self._key_bytes
-            masks = []
-            for rnd in range(1, self._rounds + 1):
-                frame = _FRAMES[rnd % 4]
-                base = 16 * rnd
-                block = bytes(kb[base + b] ^ _SBOX_CONSTANT for b in frame)
-                cr1 = 4 * n * (rnd % 4)
-                cr2 = 4 * n * (2 * rnd % 4)
-                masks.append((*_spread(block, layout),
-                              cr1, 16 * n - cr1, cr2, 16 * n - cr2))
-            _store(cache, layout.n, masks, self._MASK_CACHE_SIZE)
-        else:
-            cache[layout.n] = masks
-        return masks
-
-    @staticmethod
-    def _counter_planes(c0: int, layout: _Layout) -> list[int]:
-        ctr = layout.ctr_planes.get(c0)
-        if ctr is None:
-            n = layout.n
-            ctr = [0] * 8
-            for pos, seq in enumerate(_counter_bytes(c0, n)):
-                shift = (12 + pos) * n
-                for p, bits in enumerate(_byte_planes(seq, layout)):
-                    ctr[p] |= bits << shift
-            _store(layout.ctr_planes, c0, ctr, 4)
-        return ctr
+            return [(*self._spread_key(bytes(kb[16 * rnd + b]
+                                             for b in _FRAMES[rnd % 4]),
+                                       layout),
+                     *layout.shifts[rnd % 4])
+                    for rnd in range(1, self._rounds + 1)]
+        return _lru(self._rk_cache, layout.n, self._KEY_CACHE_SIZE, build)
 
     def keystream(self, nonce: bytes, initial_counter: int,
                   nblocks: int) -> bytes:
         """Keystream for blocks ``nonce || BE32(initial_counter + j)``."""
         if nblocks <= 0:
             return b""
-        layout = _Layout((nblocks + 7) & ~7)
+        layout = self._LAYOUT((nblocks + 7) & ~7)
         # The nonce fills fields 0..11 and the counter 12..15, so the
-        # nonce and round key 0 combine before spreading into planes.
+        # nonce and round key 0 combine before spreading into fields.
         first = (int.from_bytes(nonce, "big") << 32) ^ int.from_bytes(
             self._key_bytes[:16], "big")
-        ctr = self._counter_planes(initial_counter, layout)
-        planes = [c ^ k for c, k in
-                  zip(ctr, _spread(first.to_bytes(16, "big"), layout))]
-        out = _CIPHER(planes, self._round_masks(layout), layout)
-        return self._to_bytes(out, layout, _FRAMES[self._rounds % 4])[
+        raw = self._encrypt(first.to_bytes(16, "big"), initial_counter, layout)
+        return _unslice(raw, layout.n, _FRAMES[self._rounds % 4])[
             : 16 * nblocks]
 
+
+class BitslicedCtr(_CtrEngine):
+    """Bitsliced CTR keystream engine bound to one expanded AES key."""
+
+    __slots__ = ()
+
+    _LAYOUT = _Layout
+    # Every padded size of records up to 4 KiB, as in the layout cache.
+    _KEY_CACHE_SIZE = 40
+
     @staticmethod
-    def _to_bytes(planes, layout: _Layout, frame: list[int]) -> bytes:
-        """Blocks from planes whose fields hold state bytes ``frame[b]``."""
-        n = layout.n
-        nb = 2 * n  # bytes per plane
+    def _spread_key(block: bytes, layout: _Layout) -> list[int]:
+        """Key planes carrying the S-box constant the circuit leaves out."""
+        return layout.spread(bytes(b ^ _SBOX_CONSTANT for b in block))
+
+    def _encrypt(self, first: bytes, c0: int, layout: _Layout) -> bytes:
+        planes = [c ^ k for c, k in zip(layout.counter(c0), layout.spread(first))]
+        out = _CIPHER(planes, self._round_keys(layout), layout)
+        # Transpose the planes back to 16 fields of n bytes.
+        nb = 2 * layout.n  # bytes per plane
         buf = bytearray(8 * nb)
         for p in range(8):
-            buf[p::8] = planes[p].to_bytes(nb, "little")
+            buf[p::8] = out[p].to_bytes(nb, "little")
         x = _transpose8(int.from_bytes(buf, "little"), layout.t8_out)
-        raw = x.to_bytes(8 * nb, "little")
-        out = bytearray(16 * n)
-        for b in range(16):
-            out[frame[b]::16] = raw[b * n:(b + 1) * n]
-        return bytes(out)
+        return x.to_bytes(8 * nb, "little")
 
+
+# --- byte-sliced engine ----------------------------------------------------
+
+_SBOX_TABLE = bytes(_SBOX)
+
+# Padded block counts below the bitslice cutover: the byte-sliced caches
+# hold every one of them.
+_BYTESLICE_SIZES = -(-(AES._BITSLICE_THRESHOLD - 1) // 8)
+
+
+class _ByteLayout(_FieldLayout):
+    """The byte-sliced engine's layout: one byte of each block per field."""
+
+    _BITS_PER_BLOCK = 8
+    _CACHE_SIZE = _BYTESLICE_SIZES
+    _cache: dict[int, "_ByteLayout"] = {}
+
+    def _init(self, n: int) -> None:
+        super()._init(n)
+        # Times a byte at the bottom of a field, this fills the field.
+        self.fill = ((1 << self.width) - 1) // 0xFF
+        self.high = self.allones // 0xFF * 0x80
+
+    def spread(self, block: bytes) -> int:
+        """A 16-byte state repeated in every block: byte ``b`` fills field b."""
+        buf = bytearray(16 * self.n)
+        buf[::self.n] = block
+        return int.from_bytes(buf, "little") * self.fill
+
+    def counter(self, c0: int) -> int:
+        """Fields 12..15 holding the counter bytes of blocks ``c0 + j``."""
+        def build():
+            seq = b"".join(_counter_bytes(c0, self.n))
+            return int.from_bytes(seq, "little") << (12 * self.width)
+        return _lru(self.ctr, c0, 4, build)
+
+
+class ByteslicedCtr(_CtrEngine):
+    """Byte-sliced CTR keystream engine bound to one expanded AES key."""
+
+    __slots__ = ()
+
+    _LAYOUT = _ByteLayout
+    _KEY_CACHE_SIZE = _BYTESLICE_SIZES
+
+    @staticmethod
+    def _spread_key(block: bytes, layout: _ByteLayout) -> tuple[int]:
+        return (layout.spread(block),)
+
+    def _encrypt(self, first: bytes, c0: int, layout: _ByteLayout) -> bytes:
+        """One pass of the rounds; MixColumns as in :func:`_compile_cipher`.
+
+        xtime is ``((w ^ hi) << 1) ^ (hi >> 7) * 0x1B`` with ``hi`` the
+        top bit of every byte.  Frame 0 skips the whole-int rotations.
+        """
+        size = 16 * layout.n
+        width = layout.width
+        w2, w3 = 2 * width, 3 * width
+        row0, nrow0 = layout.row0, layout.not_row0
+        rows01, rows23 = layout.rows01, layout.rows23
+        high = layout.high
+        sbox = _SBOX_TABLE
+        from_bytes = int.from_bytes
+        keys = self._round_keys(layout)
+        s = layout.spread(first) ^ layout.counter(c0)
+        for k, cr1, cl1, cr2, cl2 in keys[:-1]:
+            s = from_bytes(s.to_bytes(size, "little").translate(sbox), "little")
+            u = (s >> cr1) | (s << cl1) if cr1 else s
+            u = ((u & nrow0) >> width) | ((u & row0) << w3)
+            w = s ^ u
+            v = (w >> cr2) | (w << cl2) if cr2 else w
+            v = ((v & rows23) >> w2) | ((v & rows01) << w2)
+            hi = w & high
+            s = ((w ^ hi) << 1) ^ (hi >> 7) * 0x1B ^ u ^ v ^ k
+        s = from_bytes(s.to_bytes(size, "little").translate(sbox),
+                       "little") ^ keys[-1][0]
+        return s.to_bytes(size, "little")
 
 _verify_sbox()

@@ -41,6 +41,45 @@ def _build_reduction_table() -> list[int]:
 _R8 = _build_reduction_table()
 
 
+def _compile_digest_tables():
+    """Emit GHASH over the per-position tables as one generated function.
+
+    ``_digest_tables(tables, chunks)`` unpacks the 64 tables into locals
+    once.  Each 4-block group unpacks its 64 bytes (the running hash
+    folded into the first block) and is the XOR of 64 lookups in one
+    expression; the single blocks left over use the last 16 tables (H^1).
+    """
+    tabs = [f"t{i}" for i in range(64)]
+    group = [f"b{i}" for i in range(64)]
+    single = group[:16]
+    lines = [
+        "def _digest_tables(tables, chunks):",
+        f"    {', '.join(tabs)} = tables",
+        "    y = 0",
+        "    for chunk in chunks:",
+        "        size = len(chunk)",
+        "        end = size - size % 64",
+        "        for offset in range(0, end, 64):",
+        f"            {', '.join(group)} = (y ^ int.from_bytes(",
+        "                chunk[offset:offset + 16], 'big')).to_bytes(16, 'big')"
+        " + chunk[offset + 16:offset + 64]",
+        "            y = " + " ^ ".join(f"{t}[{b}]" for t, b in zip(tabs, group)),
+        "        for offset in range(end, size, 16):",
+        "            block = chunk[offset:offset + 16]",
+        "            y ^= int.from_bytes(block, 'big') << 8 * (16 - len(block))",
+        f"            {', '.join(single)} = y.to_bytes(16, 'big')",
+        "            y = " + " ^ ".join(f"{t}[{b}]"
+                                       for t, b in zip(tabs[48:], single)),
+        "    return y",
+    ]
+    ns: dict = {}
+    exec(compile("\n".join(lines), "<ghash-tables>", "exec"), ns)
+    return ns["_digest_tables"]
+
+
+_digest_tables = _compile_digest_tables()
+
+
 class _GHash:
     """GHASH universal hash keyed by H = E_K(0^128)."""
 
@@ -81,17 +120,16 @@ class _GHash:
             w = (w >> 8) ^ r8[w & 0xFF] ^ table[byte]
         return w
 
-    def _byte_tables(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per-byte-position tables of H^1..H^4, built on first use.
+    def _byte_tables(self) -> list[list[int]]:
+        """Per-byte-position tables of H^4, H^3, H^2, H^1, built on first use.
 
         ``cols[j][b]`` for H^k is the fully reduced GF(2^128) product of
         H^k with byte value ``b`` at big-endian byte position ``j`` of a
         block (position 0 is the most significant byte), so the product of
         H^k with a block is the XOR of ``cols[j][block[j]]`` over its 16
-        bytes, with no per-block reduction.  Returns ``(group, single)``:
-        ``group`` is the 64 tables of H^4, H^3, H^2, H^1 in that order,
-        one aggregated Horner step over four blocks; ``single`` is the 16
-        tables of H^1.
+        bytes, with no per-block reduction.  The 64 tables of H^4, H^3,
+        H^2, H^1 in that order are one aggregated Horner step over four
+        blocks; the last 16 (H^1) are a single-block step.
         """
         tables = self._bulk_tables
         if tables is None:
@@ -110,31 +148,8 @@ class _GHash:
                 powers.append(cols)
                 h_power = self._mul_h(h_power)
             t1, t2, t3, t4 = powers
-            tables = self._bulk_tables = (t4 + t3 + t2 + t1, t1)
+            tables = self._bulk_tables = t4 + t3 + t2 + t1
         return tables
-
-    @staticmethod
-    def _digest_tables(tables, chunks) -> int:
-        """GHASH with the per-position tables: 4-block groups, then blocks."""
-        group, single = tables
-        y = 0
-        for chunk in chunks:
-            size = len(chunk)
-            end = size - size % 64
-            for offset in range(0, end, 64):
-                block = (y ^ int.from_bytes(chunk[offset : offset + 16], "big")
-                         ).to_bytes(16, "big") + chunk[offset + 16 : offset + 64]
-                y = 0
-                for table, byte in zip(group, block):
-                    y ^= table[byte]
-            for offset in range(end, size, 16):
-                block = chunk[offset : offset + 16]
-                y ^= int.from_bytes(block, "big") << 8 * (16 - len(block))
-                acc = 0
-                for table, byte in zip(single, y.to_bytes(16, "big")):
-                    acc ^= table[byte]
-                y = acc
-        return y
 
     def _digest_scalar(self, chunks) -> int:
         """GHASH one block at a time with Shoup's table."""
@@ -156,7 +171,7 @@ class _GHash:
             if self._hashed_bytes < self._BULK_BUILD_BYTES:
                 return self._digest_scalar(chunks)
             tables = self._byte_tables()
-        return self._digest_tables(tables, chunks)
+        return _digest_tables(tables, chunks)
 
 
 class AESGCM:

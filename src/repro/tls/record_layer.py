@@ -72,8 +72,8 @@ def reset_aead_cache() -> None:
 def aead_for(suite: CipherSuite, key: bytes):
     """A shared AEAD context for ``(suite, key)``.
 
-    Expanding an AES key schedule — and, on the fast path, its bitsliced
-    round-key masks and GHASH byte tables — is far more expensive than a
+    Expanding an AES key schedule — and, on the fast path, its per-size
+    round-key material and GHASH byte tables — is far more expensive than a
     single record seal, yet each hop direction keeps using the same key
     for the life of the session (and again after resumption, and again
     when hop keys are re-derived for a middlebox joining mid-stream).

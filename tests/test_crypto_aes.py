@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, _SBOX
-from repro.crypto.bitsliced import BitslicedCtr, _Layout
+from repro.crypto.bitsliced import BitslicedCtr, ByteslicedCtr, _ByteLayout, _Layout
 from repro.errors import CryptoError
 
 
@@ -78,7 +78,7 @@ class TestDeterminism:
 
 
 class TestCtrKeystream:
-    """The bitsliced bulk CTR path against the scalar block cipher."""
+    """Both vectorised CTR engines against the scalar block cipher."""
 
     def _scalar_keystream(self, cipher, prefix, counter, nblocks):
         return b"".join(
@@ -88,11 +88,12 @@ class TestCtrKeystream:
             for j in range(nblocks)
         )
 
-    # Block counts straddling the bitslice cutover and the padding to
-    # multiples of 8 inside the bitsliced engine.
+    # Block counts on the byte-sliced side (including its padding to
+    # multiples of 8), straddling the bitslice cutover, and past the
+    # bitsliced engine's next padded size.
     @pytest.mark.parametrize("nblocks", sorted(
-        {1, 7, 8, 9, 15, 16, 17, 23, 64, 100}
-        | {AES._BITSLICE_THRESHOLD + d for d in (-1, 0, 1)}
+        {1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 33, 64, 65, 100}
+        | {AES._BITSLICE_THRESHOLD + d for d in (-8, -1, 0, 1, 8)}
     ))
     @pytest.mark.parametrize("key_length", [16, 24, 32])
     def test_matches_scalar_blocks(self, key_length, nblocks, rng):
@@ -103,12 +104,24 @@ class TestCtrKeystream:
         )
 
     def test_counter_wraps_at_32_bits(self, rng):
+        # 32 blocks: the byte-sliced engine.
         cipher = AES(rng.random_bytes(16))
         prefix = rng.random_bytes(12)
         start = 0xFFFFFFF0
         assert cipher.ctr_keystream(prefix, start, 32) == self._scalar_keystream(
             cipher, prefix, start, 32
         )
+        assert cipher._bitsliced is None
+
+    def test_counter_wraps_at_32_bits_above_cutover(self, rng):
+        cipher = AES(rng.random_bytes(16))
+        prefix = rng.random_bytes(12)
+        nblocks = AES._BITSLICE_THRESHOLD + 8
+        start = (1 << 32) - nblocks // 2
+        assert cipher.ctr_keystream(prefix, start, nblocks) == self._scalar_keystream(
+            cipher, prefix, start, nblocks
+        )
+        assert cipher._bytesliced is None
 
     def test_zero_blocks(self, rng):
         assert AES(rng.random_bytes(16)).ctr_keystream(b"\x00" * 12, 2, 0) == b""
@@ -119,26 +132,66 @@ class TestCtrKeystream:
 
     def test_mask_cache_evicts_one_entry(self, rng):
         # More distinct padded block counts than one key's mask cache
-        # holds, then the first sizes again.
+        # holds, then the first sizes again, all at or above the cutover.
         cipher = AES(rng.random_bytes(16))
         prefix = rng.random_bytes(12)
-        capacity = BitslicedCtr._MASK_CACHE_SIZE
+        capacity = BitslicedCtr._KEY_CACHE_SIZE
         first = (AES._BITSLICE_THRESHOLD + 7) & ~7
         sizes = [first + 8 * i for i in range(capacity + 3)]
         for count, nblocks in enumerate(sizes + sizes[:3], start=1):
             assert cipher.ctr_keystream(prefix, 2, nblocks) == self._scalar_keystream(
                 cipher, prefix, 2, nblocks
             )
-            masks = cipher._bitsliced._rk_masks
+            masks = cipher._bitsliced._rk_cache
             assert nblocks in masks
             assert nblocks in _Layout._cache
             assert len(masks) == min(count, capacity)
+        assert cipher._bytesliced is None
+
+    def test_round_key_cache_evicts_one_entry(self, rng):
+        # The byte-sliced engine driven past its cache bound directly (the
+        # cipher never asks it for a size at or above the cutover), then
+        # the first sizes again.
+        cipher = AES(rng.random_bytes(16))
+        engine = ByteslicedCtr(cipher._round_keys, cipher._rounds)
+        prefix = rng.random_bytes(12)
+        capacity = ByteslicedCtr._KEY_CACHE_SIZE
+        sizes = [8 * (i + 1) for i in range(capacity + 3)]
+        for count, nblocks in enumerate(sizes + sizes[:3], start=1):
+            assert engine.keystream(prefix, 2, nblocks) == self._scalar_keystream(
+                cipher, prefix, 2, nblocks
+            )
+            keys = engine._rk_cache
+            assert nblocks in keys
+            assert nblocks in _ByteLayout._cache
+            assert len(keys) == min(count, capacity)
+
+    def test_byteslice_caches_hold_every_size_below_cutover(self, rng):
+        cipher = AES(rng.random_bytes(16))
+        prefix = rng.random_bytes(12)
+        for nblocks in range(1, AES._BITSLICE_THRESHOLD):
+            cipher.ctr_keystream(prefix, 2, nblocks)
+        padded = set(range(8, AES._BITSLICE_THRESHOLD + 7, 8))
+        assert set(cipher._bytesliced._rk_cache) == padded
+        assert padded <= set(_ByteLayout._cache)
+        assert cipher._bitsliced is None
 
     def test_bitsliced_engine_is_cached(self, rng):
         cipher = AES(rng.random_bytes(16))
         prefix = rng.random_bytes(12)
-        cipher.ctr_keystream(prefix, 2, 64)
+        cipher.ctr_keystream(prefix, 2, AES._BITSLICE_THRESHOLD)
         engine = cipher._bitsliced
         assert engine is not None
-        cipher.ctr_keystream(prefix, 2, 64)
+        assert cipher._bytesliced is None
+        cipher.ctr_keystream(prefix, 2, AES._BITSLICE_THRESHOLD)
         assert cipher._bitsliced is engine
+
+    def test_bytesliced_engine_is_cached(self, rng):
+        cipher = AES(rng.random_bytes(16))
+        prefix = rng.random_bytes(12)
+        cipher.ctr_keystream(prefix, 2, AES._BITSLICE_THRESHOLD - 1)
+        engine = cipher._bytesliced
+        assert engine is not None
+        assert cipher._bitsliced is None
+        cipher.ctr_keystream(prefix, 2, 1)
+        assert cipher._bytesliced is engine
