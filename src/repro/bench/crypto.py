@@ -209,9 +209,9 @@ def bench_small_records(
             plaintext = (bytes(range(256)) * (size // 256 + 1))[:size]
             batch = max(1, 8192 // size)
 
-            def seal(fn=aead.encrypt):
+            def seal():
                 for _ in range(batch):
-                    fn(nonce, plaintext, aad)
+                    aead.encrypt(nonce, plaintext, aad)
 
             def legacy_seal():
                 for _ in range(batch):

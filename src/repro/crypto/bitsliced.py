@@ -205,9 +205,9 @@ def _compile_cipher():
     """Emit the whole bitsliced cipher as one generated function.
 
     ``_cipher(planes, rkm, layout)`` takes the 8 input planes with round
-    key 0 already added and, per round 1..Nr, the round key planes plus
-    that round's MixColumns column rotations (see
-    :meth:`_CtrEngine._round_keys`); it returns the 8 output planes.
+    key 0 already added and, per round 1..Nr, the round key planes (see
+    :meth:`_CtrEngine._round_keys`); MixColumns' column rotations per
+    round come from the layout.  It returns the 8 output planes.
     Each middle round (SubBytes, MixColumns, AddRoundKey; ShiftRows is
     the frame change) is one straight-line block of big-int operations
     on local variables inside a loop over the rounds, so the interpreter
@@ -229,7 +229,8 @@ def _compile_cipher():
         "    n2 = 2 * n",
         "    n3 = 3 * n",
         f"    {', '.join(planes)} = planes",
-        f"    for {', '.join(keys)}, cr1, cl1, cr2, cl2 in rkm[:-1]:",
+        f"    for ({', '.join(keys)}), (cr1, cl1, cr2, cl2) in zip(",
+        "            rkm[:-1], layout.shifts):",
     ]
     body = _sbox_lines(planes)
     for q in range(8):
@@ -244,7 +245,7 @@ def _compile_cipher():
         xt = " ^ ".join(f"w{i}" for i in _XTIME_SRC[q])
         body.append(f"p{q} = {xt} ^ u{q} ^ v{q} ^ k{q}")
     lines += ["        " + stmt for stmt in body]
-    lines.append(f"    {', '.join(keys)} = rkm[-1][:8]")
+    lines.append(f"    {', '.join(keys)} = rkm[-1]")
     lines += ["    " + stmt for stmt in _sbox_lines(planes)]
     lines.append("    return " + ", ".join(f"s{7 - q} ^ k{q}" for q in range(8)))
     ns: dict = {}
@@ -307,13 +308,14 @@ class _FieldLayout:
         self.not_row0 = self.allones ^ rows[0]
         self.rows01 = rows[0] | rows[1]
         self.rows23 = rows[2] | rows[3]
-        # Per frame: MixColumns' two whole-int rotations, by k and 2k
-        # columns, as right/left shift pairs.
+        # Per middle round 1..13: MixColumns' two whole-int rotations, as
+        # right/left shift pairs.  Round ``r`` works in frame ``r % 4``,
+        # so they rotate right by ``r`` and ``2r`` columns.
         total = 16 * width
         self.shifts = []
-        for k in range(4):
-            cr1 = 4 * width * k
-            cr2 = 4 * width * (2 * k % 4)
+        for rnd in range(1, 14):
+            cr1 = 4 * width * (rnd % 4)
+            cr2 = 4 * width * (2 * rnd % 4)
             self.shifts.append((cr1, total - cr1, cr2, total - cr2))
         # Counter fields per initial counter (see ``counter``).
         self.ctr: dict = {}
@@ -422,9 +424,8 @@ def _counter_bytes(c0: int, n: int) -> list[bytes]:
 class _CtrEngine:
     """A CTR keystream engine bound to one expanded AES key.
 
-    Subclasses give their layout class, how a round key spreads into
-    that layout, and the cipher pass from the first state to the raw
-    output fields.
+    Subclasses give their layout class and the cipher pass from the
+    first state to the raw output fields.
     """
 
     __slots__ = ("_key_bytes", "_rounds", "_rk_cache")
@@ -438,21 +439,23 @@ class _CtrEngine:
         # Round-key bytes in state order: byte 16*rnd + b is state byte b.
         self._key_bytes = b"".join(w.to_bytes(4, "big") for w in round_keys)
         self._rounds = rounds
-        self._rk_cache: dict[int, list[tuple[int, ...]]] = {}
+        self._rk_cache: dict[int, list] = {}
 
-    def _round_keys(self, layout) -> list[tuple[int, ...]]:
-        """Per round 1..Nr: its spread key, then MixColumns' rotations.
+    @staticmethod
+    def _spread_key(block: bytes, layout):
+        """One round key's 16 bytes spread into ``layout``."""
+        return layout.spread(block)
 
-        Round ``k`` works in frame ``k``: its key bytes are permuted into
-        that frame, and its two MixColumns rotations first rotate the int
-        right by ``k`` and ``2k`` columns.  Round 0 is added per call.
+    def _round_keys(self, layout) -> list:
+        """Round keys 1..Nr spread into ``layout``.
+
+        Round ``k`` works in frame ``k``, so its key bytes are permuted
+        into that frame.  Round 0 is added per call.
         """
         def build():
             kb = self._key_bytes
-            return [(*self._spread_key(bytes(kb[16 * rnd + b]
-                                             for b in _FRAMES[rnd % 4]),
-                                       layout),
-                     *layout.shifts[rnd % 4])
+            return [self._spread_key(bytes(kb[16 * rnd + b]
+                                           for b in _FRAMES[rnd % 4]), layout)
                     for rnd in range(1, self._rounds + 1)]
         return _lru(self._rk_cache, layout.n, self._KEY_CACHE_SIZE, build)
 
@@ -481,12 +484,13 @@ class BitslicedCtr(_CtrEngine):
     _KEY_CACHE_SIZE = 40
 
     @staticmethod
-    def _spread_key(block: bytes, layout: _Layout) -> list[int]:
+    def _spread_key(block: bytes, layout: _Layout) -> tuple[int, ...]:
         """Key planes carrying the S-box constant the circuit leaves out."""
-        return layout.spread(bytes(b ^ _SBOX_CONSTANT for b in block))
+        return tuple(layout.spread(bytes(b ^ _SBOX_CONSTANT for b in block)))
 
     def _encrypt(self, first: bytes, c0: int, layout: _Layout) -> bytes:
-        planes = [c ^ k for c, k in zip(layout.counter(c0), layout.spread(first))]
+        planes = [c ^ k for c, k in
+                  zip(layout.counter(c0), layout.spread(first))]
         out = _CIPHER(planes, self._round_keys(layout), layout)
         # Transpose the planes back to 16 fields of n bytes.
         nb = 2 * layout.n  # bytes per plane
@@ -541,10 +545,6 @@ class ByteslicedCtr(_CtrEngine):
     _LAYOUT = _ByteLayout
     _KEY_CACHE_SIZE = _BYTESLICE_SIZES
 
-    @staticmethod
-    def _spread_key(block: bytes, layout: _ByteLayout) -> tuple[int]:
-        return (layout.spread(block),)
-
     def _encrypt(self, first: bytes, c0: int, layout: _ByteLayout) -> bytes:
         """One pass of the rounds; MixColumns as in :func:`_compile_cipher`.
 
@@ -561,7 +561,7 @@ class ByteslicedCtr(_CtrEngine):
         from_bytes = int.from_bytes
         keys = self._round_keys(layout)
         s = layout.spread(first) ^ layout.counter(c0)
-        for k, cr1, cl1, cr2, cl2 in keys[:-1]:
+        for k, (cr1, cl1, cr2, cl2) in zip(keys[:-1], layout.shifts):
             s = from_bytes(s.to_bytes(size, "little").translate(sbox), "little")
             u = (s >> cr1) | (s << cl1) if cr1 else s
             u = ((u & nrow0) >> width) | ((u & row0) << w3)
@@ -571,7 +571,7 @@ class ByteslicedCtr(_CtrEngine):
             hi = w & high
             s = ((w ^ hi) << 1) ^ (hi >> 7) * 0x1B ^ u ^ v ^ k
         s = from_bytes(s.to_bytes(size, "little").translate(sbox),
-                       "little") ^ keys[-1][0]
+                       "little") ^ keys[-1]
         return s.to_bytes(size, "little")
 
 _verify_sbox()

@@ -200,7 +200,7 @@ class TestKnownAnswerVectors:
 
 
 # Lengths around batch-relevant sizes: 4-block GHASH group boundaries (64),
-# multiples of the bitsliced engine's 8-block padding (256, 512), and
+# multiples of the CTR engines' 8-block padding (256, 512), and
 # exact/off-by-one record block boundaries.  The cutovers themselves, read
 # from the class constants, are covered in test_crypto_cutovers.py.
 _BOUNDARY_LENGTHS = [0, 1, 15, 16, 17, 63, 64, 255, 256, 257, 511, 512, 513, 4095, 4096]
