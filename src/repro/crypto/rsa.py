@@ -9,7 +9,7 @@ the RSA key-exchange cipher suites).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import CryptoError
 
@@ -131,6 +131,15 @@ class RSAPrivateKey:
     d: int
     p: int
     q: int
+    # CRT exponents and coefficient, derived once per key.
+    _dp: int = field(init=False, repr=False, compare=False)
+    _dq: int = field(init=False, repr=False, compare=False)
+    _q_inv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_dp", self.d % (self.p - 1))
+        object.__setattr__(self, "_dq", self.d % (self.q - 1))
+        object.__setattr__(self, "_q_inv", pow(self.q, -1, self.p))
 
     @property
     def public_key(self) -> RSAPublicKey:
@@ -142,12 +151,9 @@ class RSAPrivateKey:
 
     def _private_op(self, value: int) -> int:
         # CRT: roughly 4x faster than a full pow(value, d, n).
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        q_inv = pow(self.q, -1, self.p)
-        mp = pow(value % self.p, dp, self.p)
-        mq = pow(value % self.q, dq, self.q)
-        h = (q_inv * (mp - mq)) % self.p
+        mp = pow(value % self.p, self._dp, self.p)
+        mq = pow(value % self.q, self._dq, self.q)
+        h = (self._q_inv * (mp - mq)) % self.p
         return mq + h * self.q
 
     def sign(self, message: bytes) -> bytes:
