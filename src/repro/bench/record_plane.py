@@ -178,8 +178,17 @@ def bench_receive(payload_bytes: int, flights: int = RECEIVE_FLIGHTS) -> dict:
     }
 
 
-def run(payload_bytes: int = PAYLOAD_BYTES, flights: int = FLIGHTS) -> dict:
-    """Measure both paths and return the ``BENCH_record_plane.json`` report."""
+def run(
+    payload_bytes: int = PAYLOAD_BYTES,
+    flights: int = FLIGHTS,
+    git: str | None = None,
+) -> dict:
+    """Measure both paths and return the ``BENCH_record_plane.json`` report.
+
+    ``git`` is the stamp to record; by default it is taken now.
+    """
+    if git is None:
+        git = git_describe()
     payload = bytes(range(256)) * (payload_bytes // 256)
     legacy_rate, legacy_records, legacy_copied = _throughput(
         lambda: legacy_drain(payload), payload_bytes, flights
@@ -200,7 +209,7 @@ def run(payload_bytes: int = PAYLOAD_BYTES, flights: int = FLIGHTS) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "bench": "record_plane",
-        "git": git_describe(),
+        "git": git,
         "payload_bytes": payload_bytes,
         "flights": flights,
         "records_per_flight": legacy_records // flights,

@@ -340,10 +340,13 @@ def _cmd_bench(args) -> None:
 
     mode = "quick" if args.quick else "full"
     workers = args.workers or None
+    # One stamp for both reports, taken before either is written: writing
+    # BENCH_crypto.json dirties the tree the record-plane run would see.
+    stamp = crypto_bench.git_describe()
     print(f"crypto bench ({mode}): primitives at 16 KiB records, "
           f"then a 2-middlebox chain"
           f"{f' (+{workers}-worker pooled leg)' if workers else ''} ...")
-    report = crypto_bench.run(quick=args.quick, workers=workers)
+    report = crypto_bench.run(stamp, quick=args.quick, workers=workers)
 
     rows = [
         [p["suite"], f"{p['seal_mb_per_s']:.1f}", f"{p['open_mb_per_s']:.1f}",
@@ -360,6 +363,12 @@ def _cmd_bench(args) -> None:
     print(render_table("AES-GCM seal — small records",
                        ["suite", "bytes", "µs/record", "scalar µs", "vs scalar"],
                        rows))
+    kex = report["kex"]
+    print(f"X25519: {kex['base_us']:,.0f} µs keygen (comb), "
+          f"{kex['exchange_us']:,.0f} µs exchange (ladder), "
+          f"{kex['ladder_base_us']:,.0f} µs ladder at u = 9 "
+          f"({kex['base_speedup']}x); comb table "
+          f"{kex['table_build_ms']} ms and {kex['table_kib']} KiB once")
     chain = report["chain"]
     print(f"chain ({chain['middleboxes']} middleboxes): "
           f"{chain['records_per_sec']:,.0f} rec/s fast, "
@@ -387,7 +396,7 @@ def _cmd_bench(args) -> None:
     crypto_path.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {crypto_path}")
 
-    plane_report = record_plane_bench.run()
+    plane_report = record_plane_bench.run(git=stamp)
     plane_path = root / "BENCH_record_plane.json"
     plane_path.write_text(json.dumps(plane_report, indent=2) + "\n")
     print(f"wrote {plane_path} "

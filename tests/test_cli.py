@@ -64,6 +64,35 @@ class TestCli:
         assert report["scenario"]["established"] is True
         assert len(report["per_hop"]) == 6
 
+    def test_bench_reports_share_one_stamp(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        from repro.bench import crypto as crypto_bench
+        from repro.bench import record_plane as record_plane_bench
+
+        def describe():
+            # Like ``git describe --dirty``: a written report dirties the tree.
+            dirty = any(tmp_path.glob("BENCH_*.json"))
+            return "abc1234-dirty" if dirty else "abc1234"
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(crypto_bench, "git_describe", describe)
+        monkeypatch.setattr(record_plane_bench, "git_describe", describe)
+        # Stub the slow crypto legs; the X25519 and record-plane legs run.
+        monkeypatch.setattr(crypto_bench, "bench_primitives", lambda **_: [])
+        monkeypatch.setattr(crypto_bench, "bench_small_records", lambda **_: [])
+        monkeypatch.setattr(crypto_bench, "bench_chain", lambda **_: {
+            "middleboxes": 2, "records_per_sec": 1.0,
+            "scalar_records_per_sec": 1.0, "speedup": 1.0,
+        })
+        assert main(["bench", "--quick"]) == 0
+        assert "X25519:" in capsys.readouterr().out
+        stamps = [
+            json.loads((tmp_path / name).read_text())["git"]
+            for name in ("BENCH_crypto.json", "BENCH_record_plane.json")
+        ]
+        assert stamps == ["abc1234", "abc1234"]
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])
