@@ -8,6 +8,9 @@ Two measurements back the fast-path work in ``repro.crypto``:
   Shoup GHASH) so the speedup is measured, not remembered.  AES-GCM seal
   is also timed per record at small sizes (64 B to 4 KiB), on both sides
   of the byte-sliced/bitsliced CTR cutover.
+* **Short-lived keys** — microseconds an AES-GCM key costs when it seals
+  only a few small records, as each hop direction of a resumed session
+  does: building the context plus its first seal, then the second seal.
 * **Key agreement** — microseconds per X25519 call: key generation (the
   fixed-base comb), the exchange (the Montgomery ladder), and the ladder
   at the base point as the in-library reference for the comb.
@@ -44,6 +47,7 @@ __all__ = [
     "git_describe",
     "bench_primitives",
     "bench_small_records",
+    "bench_short_lived",
     "bench_kex",
     "bench_chain",
     "run",
@@ -54,6 +58,7 @@ SCHEMA_VERSION = 2
 
 RECORD_BYTES = 16384  # one max-size TLS record
 SMALL_RECORD_BYTES = (64, 512, 1024, 4096)
+SHORT_LIVED_BYTES = (16, 64, 512)
 
 
 def git_describe() -> str:
@@ -242,6 +247,54 @@ def bench_small_records(
                 "seal_speedup": round(legacy_s / seal_s, 2),
             })
     return results
+
+
+def bench_short_lived(
+    sizes: tuple[int, ...] = SHORT_LIVED_BYTES, repeats: int = 5, keys: int = 20
+) -> list[dict]:
+    """Microseconds per fresh AES-GCM key: set-up plus first seal, second seal.
+
+    Every timing covers ``keys`` keys never used before, so no key has
+    GHASH tables or cached round keys, as for a key that seals a few
+    records and is dropped.  The per-size legs take turns within each
+    repeat, so a drift in machine speed shifts all of them alike; each
+    reports its best repeat.
+    """
+    nonce = b"\x00" * 11 + b"\x01"
+    aad = b"\x00" * 13
+    legs = [(name, key_length, size)
+            for name, key_length in (("aes-128-gcm", 16), ("aes-256-gcm", 32))
+            for size in sizes]
+    first = dict.fromkeys(legs, float("inf"))
+    second = dict.fromkeys(legs, float("inf"))
+    counter = 0
+    for _ in range(repeats):
+        for leg in legs:
+            _name, key_length, size = leg
+            plaintext = bytes(size)
+            first_s = second_s = 0.0
+            for _ in range(keys):
+                counter += 1
+                key = counter.to_bytes(key_length, "big")
+                start = time.perf_counter()
+                aead = AESGCM(key)
+                aead.encrypt(nonce, plaintext, aad)
+                middle = time.perf_counter()
+                aead.encrypt(nonce, plaintext, aad)
+                end = time.perf_counter()
+                first_s += middle - start
+                second_s += end - middle
+            first[leg] = min(first[leg], first_s / keys)
+            second[leg] = min(second[leg], second_s / keys)
+    return [
+        {
+            "suite": name,
+            "record_bytes": size,
+            "setup_and_first_seal_us": round(first[name, key_length, size] * 1e6, 1),
+            "second_seal_us": round(second[name, key_length, size] * 1e6, 1),
+        }
+        for name, key_length, size in legs
+    ]
 
 
 def bench_kex(repeats: int = 5, calls: int = 10) -> dict:
@@ -501,11 +554,13 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
     if quick:
         primitives = bench_primitives(repeats=3, legacy_repeats=1)
         small = bench_small_records(repeats=3, legacy_repeats=1)
+        short_lived = bench_short_lived(repeats=2)
         kex = bench_kex(repeats=2)
         chain = bench_chain(flights=4, workers=workers)
     else:
         primitives = bench_primitives()
         small = bench_small_records()
+        short_lived = bench_short_lived()
         kex = bench_kex()
         chain = bench_chain(workers=workers)
     return {
@@ -516,6 +571,7 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         "record_bytes": RECORD_BYTES,
         "primitives": primitives,
         "small_records": small,
+        "short_lived": short_lived,
         "kex": kex,
         "chain": chain,
     }

@@ -363,6 +363,14 @@ def _cmd_bench(args) -> None:
     print(render_table("AES-GCM seal — small records",
                        ["suite", "bytes", "µs/record", "scalar µs", "vs scalar"],
                        rows))
+    rows = [
+        [p["suite"], str(p["record_bytes"]),
+         f"{p['setup_and_first_seal_us']:,.0f}", f"{p['second_seal_us']:,.0f}"]
+        for p in report["short_lived"]
+    ]
+    print(render_table("AES-GCM short-lived keys — GHASH tables absent",
+                       ["suite", "bytes", "key + first seal µs",
+                        "second seal µs"], rows))
     kex = report["kex"]
     print(f"X25519: {kex['base_us']:,.0f} µs keygen (comb), "
           f"{kex['exchange_us']:,.0f} µs exchange (ladder), "

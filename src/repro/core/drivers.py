@@ -135,6 +135,7 @@ class MiddleboxDriver(DuplexDriver):
         if not self.down.closed:
             self._flush()
             self.down.close()
+        self._notify_if_finished()
 
 
 class MiddleboxService:
@@ -169,7 +170,11 @@ class MiddleboxService:
         self._listen = listen
         self.meter = meter if meter is not None else CpuMeter(host.name)
         self.on_event = on_event
+        #: Live connections; a driver leaves when both its segments close.
         self.drivers: list[MiddleboxDriver] = []
+        # Connections that closed since the last ``max_outbox_fill`` poll
+        # (see ``drain_sessions``).
+        self._closed_since_poll = 0
         #: Whether the service is registered on its host.  A *standby*
         #: replica is built with ``active=False`` and only registers when a
         #: failover controller calls :meth:`reinstall`.
@@ -202,10 +207,14 @@ class MiddleboxService:
         A crashed host has already reset its streams; draining closes any
         surviving segment (e.g. an onward dial that outlived the crash),
         forgets the drivers, and returns how many sessions were cut loose
-        so the failover controller can account for them.
+        so the failover controller can account for them: every connection
+        live at the last :meth:`max_outbox_fill` poll or opened since,
+        including those the crash itself just reset.
         """
-        drained = len(self.drivers)
+        drained = len(self.drivers) + self._closed_since_poll
+        self._closed_since_poll = 0
         for driver in self.drivers:
+            driver.on_finished = None
             for socket in (driver.down, driver.up):
                 if socket is not None and not socket.closed:
                     socket.close()
@@ -229,7 +238,7 @@ class MiddleboxService:
             on_event=self.on_event,
         )
         driver.dial_immediately(("", flow.port))  # optimistic split
-        self.drivers.append(driver)
+        self._track(driver)
 
     def _on_accept(self, socket: Socket, source: str) -> None:
         engine = MbTLSMiddlebox(self._config(), destination=None, port=self.port)
@@ -240,20 +249,30 @@ class MiddleboxService:
             meter=self.meter,
             on_event=self.on_event,
         )
+        self._track(driver)
+
+    def _track(self, driver: MiddleboxDriver) -> None:
+        """Keep ``driver`` in :attr:`drivers` until both its segments close."""
+        if driver.finished:
+            # The onward dial failed and tore the connection down.
+            self._closed_since_poll += 1
+            return
+        driver.on_finished = self._forget
         self.drivers.append(driver)
+
+    def _forget(self, driver: MiddleboxDriver) -> None:
+        self.drivers.remove(driver)
+        self._closed_since_poll += 1
 
     def max_outbox_fill(self) -> float:
         """Fullest outbound buffer across live connections (0.0–1.0+).
 
         The service-level backpressure signal an orchestrator polls before
         admitting more sessions through this middlebox.  Finished
-        connections are pruned here so a long churn run doesn't scan (or
-        retain) every session that ever passed through.
+        connections leave :attr:`drivers` when they close, so a long churn
+        run neither scans nor retains every session that passed through.
         """
-        self.drivers = [
-            driver for driver in self.drivers
-            if not (driver.down.closed and (driver.up is None or driver.up.closed))
-        ]
+        self._closed_since_poll = 0
         return max(
             (driver.engine.outbox_fill for driver in self.drivers), default=0.0
         )

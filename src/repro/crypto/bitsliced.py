@@ -43,7 +43,8 @@ block ``j``.  SubBytes is one ``bytes.translate`` of the whole state,
 xtime is six masked whole-int operations, and a middle round is about 30
 whole-state operations against ~270 plane operations.  Those operations
 act on a state eight times wider, so the bitsliced engine wins from
-about 120 blocks on.
+about 120 blocks on.  Requests of up to 4 blocks run on 1, 2 or 4
+lanes; the bitsliced engine's 8x8 transposes need multiples of 8.
 
 Only the encrypt direction exists — CTR mode never decrypts blocks.
 """
@@ -51,6 +52,7 @@ Only the encrypt direction exists — CTR mode never decrypts blocks.
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 
 from repro.crypto.aes import AES, _SBOX
 
@@ -174,6 +176,7 @@ s2 = t55 ^ t67
 """.strip().splitlines()
 
 _SBOX_CONSTANT = 0x63
+_XOR_SBOX_CONSTANT = bytes(b ^ _SBOX_CONSTANT for b in range(256))
 
 
 def _sbox_lines(planes: list[str]) -> list[str]:
@@ -260,6 +263,12 @@ _CIPHER = _compile_cipher()
 _FRAMES = [[4 * ((b // 4 - k * (b % 4)) % 4) + b % 4 for b in range(16)]
            for k in range(4)]
 
+# _KEY_ORDER[Nr] gathers the expanded key's bytes of rounds 1..Nr, each
+# round's 16 bytes permuted into that round's frame.
+_KEY_ORDER = {rounds: itemgetter(*[16 * rnd + b for rnd in range(1, rounds + 1)
+                                   for b in _FRAMES[rnd % 4]])
+              for rounds in (10, 12, 14)}
+
 
 # --- transpose helpers -----------------------------------------------------
 
@@ -290,8 +299,6 @@ class _FieldLayout:
 
     def __new__(cls, n: int):
         def build():
-            if n % 8:
-                raise ValueError("batch size must be a multiple of 8")
             layout = object.__new__(cls)
             layout._init(n)
             return layout
@@ -331,6 +338,9 @@ class _Layout(_FieldLayout):
     _cache: dict[int, "_Layout"] = {}
 
     def _init(self, n: int) -> None:
+        # The 8x8 transposes below work on whole bytes of blocks.
+        if n % 8:
+            raise ValueError("batch size must be a multiple of 8")
         super()._init(n)
         # Bit 0 of every field: times ``ones`` it fills the fields whose
         # bit 0 is set.
@@ -424,51 +434,45 @@ def _counter_bytes(c0: int, n: int) -> list[bytes]:
 class _CtrEngine:
     """A CTR keystream engine bound to one expanded AES key.
 
-    Subclasses give their layout class and the cipher pass from the
-    first state to the raw output fields.
+    Subclasses give their layout class, how one layout's round keys are
+    built and the cipher pass from the first state to the raw output
+    fields.  A request runs at its block count rounded up to a multiple
+    of 8, or at ``_NARROW[nblocks]`` blocks where that is listed.
     """
 
-    __slots__ = ("_key_bytes", "_rounds", "_rk_cache")
+    __slots__ = ("_key0", "_frame_keys", "_rounds", "_rk_cache")
 
     _LAYOUT: type
+    _NARROW: tuple[int, ...] = ()
     # Padded block counts whose round-key material one key keeps.  A full
     # cache evicts its least recently used entry.
     _KEY_CACHE_SIZE: int
 
     def __init__(self, round_keys: list[int], rounds: int) -> None:
-        # Round-key bytes in state order: byte 16*rnd + b is state byte b.
-        self._key_bytes = b"".join(w.to_bytes(4, "big") for w in round_keys)
+        key_bytes = b"".join(w.to_bytes(4, "big") for w in round_keys)
+        self._key0 = int.from_bytes(key_bytes[:16], "big")
+        # Round ``k`` works in frame ``k``, so the key bytes of rounds
+        # 1..Nr are gathered into their frames once per key.
+        self._frame_keys = bytes(_KEY_ORDER[rounds](key_bytes))
         self._rounds = rounds
         self._rk_cache: dict[int, list] = {}
 
-    @staticmethod
-    def _spread_key(block: bytes, layout):
-        """One round key's 16 bytes spread into ``layout``."""
-        return layout.spread(block)
-
     def _round_keys(self, layout) -> list:
-        """Round keys 1..Nr spread into ``layout``.
-
-        Round ``k`` works in frame ``k``, so its key bytes are permuted
-        into that frame.  Round 0 is added per call.
-        """
-        def build():
-            kb = self._key_bytes
-            return [self._spread_key(bytes(kb[16 * rnd + b]
-                                           for b in _FRAMES[rnd % 4]), layout)
-                    for rnd in range(1, self._rounds + 1)]
-        return _lru(self._rk_cache, layout.n, self._KEY_CACHE_SIZE, build)
+        """Round keys 1..Nr in ``layout``; round 0 is added per call."""
+        return _lru(self._rk_cache, layout.n, self._KEY_CACHE_SIZE,
+                    lambda: self._build_round_keys(layout))
 
     def keystream(self, nonce: bytes, initial_counter: int,
                   nblocks: int) -> bytes:
         """Keystream for blocks ``nonce || BE32(initial_counter + j)``."""
         if nblocks <= 0:
             return b""
-        layout = self._LAYOUT((nblocks + 7) & ~7)
+        narrow = self._NARROW
+        layout = self._LAYOUT(narrow[nblocks] if nblocks < len(narrow)
+                              else (nblocks + 7) & ~7)
         # The nonce fills fields 0..11 and the counter 12..15, so the
         # nonce and round key 0 combine before spreading into fields.
-        first = (int.from_bytes(nonce, "big") << 32) ^ int.from_bytes(
-            self._key_bytes[:16], "big")
+        first = (int.from_bytes(nonce, "big") << 32) ^ self._key0
         raw = self._encrypt(first.to_bytes(16, "big"), initial_counter, layout)
         return _unslice(raw, layout.n, _FRAMES[self._rounds % 4])[
             : 16 * nblocks]
@@ -483,10 +487,15 @@ class BitslicedCtr(_CtrEngine):
     # Every padded size of records up to 4 KiB, as in the layout cache.
     _KEY_CACHE_SIZE = 40
 
-    @staticmethod
-    def _spread_key(block: bytes, layout: _Layout) -> tuple[int, ...]:
-        """Key planes carrying the S-box constant the circuit leaves out."""
-        return tuple(layout.spread(bytes(b ^ _SBOX_CONSTANT for b in block)))
+    def __init__(self, round_keys: list[int], rounds: int) -> None:
+        super().__init__(round_keys, rounds)
+        # The round keys carry the S-box constant the circuit leaves out.
+        self._frame_keys = self._frame_keys.translate(_XOR_SBOX_CONSTANT)
+
+    def _build_round_keys(self, layout: _Layout) -> list[tuple[int, ...]]:
+        keys = self._frame_keys
+        return [tuple(layout.spread(keys[i:i + 16]))
+                for i in range(0, len(keys), 16)]
 
     def _encrypt(self, first: bytes, c0: int, layout: _Layout) -> bytes:
         planes = [c ^ k for c, k in
@@ -505,9 +514,15 @@ class BitslicedCtr(_CtrEngine):
 
 _SBOX_TABLE = bytes(_SBOX)
 
-# Padded block counts below the bitslice cutover: the byte-sliced caches
-# hold every one of them.
-_BYTESLICE_SIZES = -(-(AES._BITSLICE_THRESHOLD - 1) // 8)
+
+# The byte-sliced engine runs requests of up to 4 blocks (handshake
+# messages, alerts, short requests) on 1, 2 or 4 lanes.
+_NARROW_LANES = (0, 1, 2, 4, 4)
+
+# Padded block counts below the bitslice cutover, the narrow widths and
+# the multiples of 8: the byte-sliced caches hold every one of them.
+_BYTESLICE_SIZES = len(set(_NARROW_LANES[1:])) + -(
+    -(AES._BITSLICE_THRESHOLD - 1) // 8)
 
 
 class _ByteLayout(_FieldLayout):
@@ -544,6 +559,24 @@ class ByteslicedCtr(_CtrEngine):
 
     _LAYOUT = _ByteLayout
     _KEY_CACHE_SIZE = _BYTESLICE_SIZES
+    _NARROW = _NARROW_LANES
+
+    def _build_round_keys(self, layout: _ByteLayout) -> list[int]:
+        """Each key byte stretched over the ``n`` lanes of its field.
+
+        All rounds at once: lane ``j`` of every field is one strided
+        write of the gathered key bytes, and the buffer is then cut into
+        one int per round.
+        """
+        n = layout.n
+        keys = self._frame_keys
+        buf = bytearray(len(keys) * n)
+        for lane in range(n):
+            buf[lane::n] = keys
+        size = 16 * n
+        from_bytes = int.from_bytes
+        return [from_bytes(buf[i:i + size], "little")
+                for i in range(0, len(buf), size)]
 
     def _encrypt(self, first: bytes, c0: int, layout: _ByteLayout) -> bytes:
         """One pass of the rounds; MixColumns as in :func:`_compile_cipher`.

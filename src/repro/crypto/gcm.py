@@ -41,6 +41,70 @@ def _build_reduction_table() -> list[int]:
 _R8 = _build_reduction_table()
 
 
+def _shoup_table(h: int) -> list[int]:
+    """Shoup's table: entry ``b`` is H times byte value ``b`` at the top byte.
+
+    Byte bit ``0x80 >> i`` stands for x^i, so the basis entries are
+    x^7 * H (bit 0x01) up to H (bit 0x80).  The table is linear in ``b``:
+    each basis entry doubles it, XORed into every entry built so far.
+    """
+    basis = [h]
+    for _ in range(7):
+        basis.append(_mul_x(basis[-1]))
+    table = [0]
+    for value in reversed(basis):
+        table += list(map(value.__xor__, table))
+    return table
+
+
+def _compile_digest_scalar():
+    """Emit GHASH over Shoup's table as one generated function.
+
+    ``_digest_scalar(table, chunks)`` multiplies each running value by H
+    in one expression: the XOR of ``table[b_j] << 8 * (15 - j)`` over the
+    value's big-endian bytes ``b_j`` is the unreduced 248-bit product,
+    whose low 120 bits are the terms of degree 128 and up.  Shifted left
+    by 8 they read as x^128 times a polynomial, and one fold with
+    x^128 = x^7 + x^2 + x + 1 reduces them: in the bit-reflected
+    representation, multiplying by x is a right shift.  The fold cannot
+    carry past bit 0, since the shifted low part has 8 clear low bits
+    and the largest fold shift is 7.
+    """
+    names = [f"b{i}" for i in range(16)]
+    unpack = f"{', '.join(names)} = "
+    mul = [
+        "u = " + " ^ ".join(f"t[{b}] << {8 * (15 - j)}"
+                            for j, b in enumerate(names[:-1]))
+        + f" ^ t[{names[-1]}]",
+        f"low = (u & {(1 << 120) - 1:#x}) << 8",
+        "y = u >> 120 ^ low ^ low >> 1 ^ low >> 2 ^ low >> 7",
+    ]
+    lines = [
+        "def _digest_scalar(t, chunks):",
+        "    y = 0",
+        "    for chunk in chunks:",
+        "        size = len(chunk)",
+        "        end = size - size % 16",
+        "        for offset in range(0, end, 16):",
+        "            " + unpack + "(y ^ int.from_bytes(",
+        "                chunk[offset:offset + 16], 'big')).to_bytes(16, 'big')",
+    ]
+    lines += ["            " + stmt for stmt in mul]
+    lines += [
+        "        if end < size:",
+        "            y ^= int.from_bytes(chunk[end:], 'big') << 8 * (16 - size + end)",
+        "            " + unpack + "y.to_bytes(16, 'big')",
+    ]
+    lines += ["            " + stmt for stmt in mul]
+    lines.append("    return y")
+    ns: dict = {}
+    exec(compile("\n".join(lines), "<ghash-scalar>", "exec"), ns)
+    return ns["_digest_scalar"]
+
+
+_digest_scalar = _compile_digest_scalar()
+
+
 def _compile_digest_tables():
     """Emit GHASH over the per-position tables as one generated function.
 
@@ -93,21 +157,7 @@ class _GHash:
         self._h = h
         self._bulk_tables = None
         self._hashed_bytes = 0
-        # Basis entries: byte value (0x80 >> i) at the top byte is x^i * H.
-        table = [0] * 256
-        value = h
-        bit = 0x80
-        while bit:
-            table[bit] = value
-            value = _mul_x(value)
-            bit >>= 1
-        for b in range(256):
-            if b and not (b & (b - 1)):
-                continue  # powers of two already filled (0 stays 0)
-            high = 1 << (b.bit_length() - 1) if b else 0
-            if b:
-                table[b] = table[high] ^ table[b ^ high]
-        self._table = table
+        self._table = _shoup_table(h)
 
     def _mul_h(self, z: int) -> int:
         """Multiply an accumulated value by H using the byte tables."""
@@ -137,7 +187,7 @@ class _GHash:
             powers = []
             h_power = self._h
             for _ in range(4):
-                top = _GHash(h_power)._table if h_power != self._h \
+                top = _shoup_table(h_power) if h_power != self._h \
                     else self._table
                 # Position 0 is Shoup's table; each position below it
                 # folds one more byte shift into the products.
@@ -151,16 +201,6 @@ class _GHash:
             tables = self._bulk_tables = t4 + t3 + t2 + t1
         return tables
 
-    def _digest_scalar(self, chunks) -> int:
-        """GHASH one block at a time with Shoup's table."""
-        mul_h = self._mul_h
-        y = 0
-        for chunk in chunks:
-            for offset in range(0, len(chunk), 16):
-                block = chunk[offset : offset + 16]
-                y = mul_h(y ^ (int.from_bytes(block, "big") << 8 * (16 - len(block))))
-        return y
-
     def digest(self, aad: bytes, ciphertext: bytes) -> int:
         """GHASH(aad || pad || ciphertext || pad || len(aad) || len(ct))."""
         lengths = ((len(aad) * 8) << 64 | (len(ciphertext) * 8)).to_bytes(16, "big")
@@ -169,7 +209,7 @@ class _GHash:
         if tables is None:
             self._hashed_bytes += len(ciphertext)
             if self._hashed_bytes < self._BULK_BUILD_BYTES:
-                return self._digest_scalar(chunks)
+                return _digest_scalar(self._table, chunks)
             tables = self._byte_tables()
         return _digest_tables(tables, chunks)
 

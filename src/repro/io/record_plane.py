@@ -89,7 +89,7 @@ class RecordPlane:
         self.flights_drained = 0
         self.bytes_drained = 0
         # Observability: the owning engine stamps ``party`` before traffic
-        # flows; counters are cached per (family, content type) and the
+        # flows.  Series handles are cached (see ``_obs_handles``) and the
         # cache is dropped whenever the process-local plane is swapped.
         self.party = ""
         self._obs_plane = None
@@ -97,26 +97,36 @@ class RecordPlane:
 
     # ---------------------------------------------------------------- metrics
 
-    def _obs_counters(self, family: str, content_type: int):
-        """Cached ``(records, bytes)`` counters for one content type."""
+    def _obs_handles(self) -> dict:
+        """The series handles bound on the current obs plane.
+
+        A handle is resolved on its series' first update, never earlier,
+        so the registry holds exactly the series that per-call lookups
+        would create.  Keys: ``(family, content type)`` for the
+        ``records_*``/``bytes_*`` pairs, which keep the party they were
+        first resolved with, and ``(site, party)`` for the per-flush and
+        per-drain series, which follow the current party.
+        """
         current = obs.plane()
         if current is not self._obs_plane:
             self._obs_plane = current
             self._obs_cache = {}
+        return self._obs_cache
+
+    def _obs_counters(self, family: str, content_type: int, handles: dict):
+        """Cached ``(records, bytes)`` counters for one content type."""
         key = (family, content_type)
-        cached = self._obs_cache.get(key)
+        cached = handles.get(key)
         if cached is None:
             try:
                 label = ContentType(content_type).name.lower()
             except ValueError:
                 label = str(content_type)
-            cached = (
-                current.metrics.counter(
-                    f"records_{family}", party=self.party, type=label),
-                current.metrics.counter(
-                    f"bytes_{family}", party=self.party, type=label),
+            metrics = self._obs_plane.metrics
+            cached = handles[key] = (
+                metrics.counter(f"records_{family}", party=self.party, type=label),
+                metrics.counter(f"bytes_{family}", party=self.party, type=label),
             )
-            self._obs_cache[key] = cached
         return cached
 
     # ---------------------------------------------------------------- inbound
@@ -144,7 +154,8 @@ class RecordPlane:
         """Decrypt under the read state; plaintext passthrough before keys."""
         if self.read_state is not None:
             plaintext = self.read_state.unprotect(record)
-            records, size = self._obs_counters("opened", int(record.content_type))
+            records, size = self._obs_counters(
+                "opened", int(record.content_type), self._obs_handles())
             records.inc()
             size.inc(len(plaintext))
             return plaintext
@@ -169,8 +180,10 @@ class RecordPlane:
             plaintexts = unprotect_many(records)
         else:
             plaintexts = [state.unprotect(record) for record in records]
+        handles = self._obs_handles()
         for record, plaintext in zip(records, plaintexts):
-            counted, size = self._obs_counters("opened", int(record.content_type))
+            counted, size = self._obs_counters(
+                "opened", int(record.content_type), handles)
             counted.inc()
             size.inc(len(plaintext))
         return plaintexts
@@ -246,7 +259,8 @@ class RecordPlane:
         self._pending_seal_bytes = 0
         state = self.write_state
         protect_many = getattr(state, "protect_many", None)
-        current = obs.plane()
+        handles = self._obs_handles()
+        current = self._obs_plane
         started = perf_counter() if current.wall_time else 0.0
         if protect_many is not None and len(pending) > 1:
             records = protect_many(pending)
@@ -259,13 +273,21 @@ class RecordPlane:
                 suite=getattr(suite, "name", "unknown"),
             ).observe(perf_counter() - started)
         for content_type, payload in pending:
-            counted, size = self._obs_counters("sealed", int(content_type))
+            counted, size = self._obs_counters(
+                "sealed", int(content_type), handles)
             counted.inc()
             size.inc(len(payload))
-        current.metrics.counter("seal_flushes", party=self.party).inc()
-        current.metrics.histogram(
-            "seal_batch_records", obs.COUNT_BUCKETS, party=self.party
-        ).observe(len(pending))
+        key = ("flush", self.party)
+        flush = handles.get(key)
+        if flush is None:
+            flush = handles[key] = (
+                current.metrics.counter("seal_flushes", party=self.party),
+                current.metrics.histogram(
+                    "seal_batch_records", obs.COUNT_BUCKETS, party=self.party),
+            )
+        flushes, batch_records = flush
+        flushes.inc()
+        batch_records.observe(len(pending))
         for record in records:
             self._append(int(record.content_type), record.payload)
 
@@ -307,9 +329,18 @@ class RecordPlane:
         self._outbox.clear()
         self.flights_drained += 1
         self.bytes_drained += len(data)
-        metrics = obs.plane().metrics
-        metrics.counter("flights_drained", party=self.party).inc()
-        metrics.counter("bytes_drained", party=self.party).inc(len(data))
+        handles = self._obs_handles()
+        key = ("drain", self.party)
+        drained = handles.get(key)
+        if drained is None:
+            metrics = self._obs_plane.metrics
+            drained = handles[key] = (
+                metrics.counter("flights_drained", party=self.party),
+                metrics.counter("bytes_drained", party=self.party),
+            )
+        flights, size = drained
+        flights.inc()
+        size.inc(len(data))
         return data
 
     # --------------------------------------------------------------- sequence

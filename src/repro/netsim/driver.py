@@ -268,6 +268,8 @@ class DuplexDriver:
         self.up: Socket | None = None
         self.meter = meter if meter is not None else CpuMeter()
         self.on_event = on_event
+        #: Called once, with this driver, when both segments have closed.
+        self.on_finished: Callable[["DuplexDriver"], None] | None = None
         self._pump = DuplexPump(engine, down_socket)
         down_socket.on_data(self._on_down_data)
         down_socket.on_close(self._on_down_close)
@@ -306,6 +308,17 @@ class DuplexDriver:
             self.up.close()
         if not self.down.closed:
             self.down.close()
+        self._notify_if_finished()
+
+    @property
+    def finished(self) -> bool:
+        """Both segments closed; an up segment never dialed counts as closed."""
+        return self.down.closed and (self.up is None or self.up.closed)
+
+    def _notify_if_finished(self) -> None:
+        if self.on_finished is not None and self.finished:
+            callback, self.on_finished = self.on_finished, None
+            callback(self)
 
     def _after_down_data(self) -> None:
         """Hook between receive and flush (subclasses dial onward here)."""
@@ -327,6 +340,7 @@ class DuplexDriver:
         if self.up is not None and not self.up.closed:
             self._flush()
             self.up.close()
+        self._notify_if_finished()
 
     def _on_up_close(self) -> None:
         with self.meter.measure():
@@ -335,3 +349,4 @@ class DuplexDriver:
         if not self.down.closed:
             self._flush()
             self.down.close()
+        self._notify_if_finished()

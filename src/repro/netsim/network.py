@@ -164,6 +164,10 @@ class Stream:
         self._next_free = [0.0, 0.0]
         self.bytes_transferred = [0, 0]
         self.aborted = False
+        # Delivery counters of this link, bound on the first delivery
+        # under each obs plane.
+        self._obs_plane = None
+        self._obs_delivered = None
 
     @property
     def sim(self) -> Simulator:
@@ -208,8 +212,16 @@ class Stream:
         arrival = depart + serialization + self.latency
         receiver = self.endpoints[1 - side]
         self.bytes_transferred[side] += len(data)
-        obs.counter("net_chunks_delivered", link=self.link).inc()
-        obs.counter("net_bytes_delivered", link=self.link).inc(len(data))
+        current = obs.plane()
+        if current is not self._obs_plane:
+            self._obs_plane = current
+            self._obs_delivered = (
+                current.metrics.counter("net_chunks_delivered", link=self.link),
+                current.metrics.counter("net_bytes_delivered", link=self.link),
+            )
+        chunks, size = self._obs_delivered
+        chunks.inc()
+        size.inc(len(data))
         sim.schedule_at(arrival, lambda: receiver._deliver(data))
 
     def close_from(self, side: int) -> None:

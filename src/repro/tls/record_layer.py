@@ -38,6 +38,18 @@ _AEAD_CACHE: OrderedDict[tuple[int, bytes], object] = OrderedDict()
 # see thrash instead of silently re-deriving.
 _AEAD_CACHE_MAX = 65_536
 
+# The ``aead_cache.size`` gauge and the obs plane it was resolved on.
+_size_gauge = (None, None)
+
+
+def _cache_size_gauge():
+    """The current plane's ``aead_cache.size`` gauge, resolved once per plane."""
+    global _size_gauge
+    current = obs.plane()
+    if _size_gauge[0] is not current:
+        _size_gauge = (current, current.metrics.gauge("aead_cache.size"))
+    return _size_gauge[1]
+
 
 def aead_cache_capacity(capacity: int | None = None) -> int:
     """Read (and optionally set) the AEAD-context cache capacity.
@@ -54,7 +66,7 @@ def aead_cache_capacity(capacity: int | None = None) -> int:
         while len(_AEAD_CACHE) > _AEAD_CACHE_MAX:
             _AEAD_CACHE.popitem(last=False)
             obs.counter("aead_cache.evictions").inc()
-        obs.gauge("aead_cache.size").set(len(_AEAD_CACHE))
+        _cache_size_gauge().set(len(_AEAD_CACHE))
     return previous
 
 
@@ -66,7 +78,7 @@ def reset_aead_cache() -> None:
     start is what makes same-seed runs report identical cache behavior.
     """
     _AEAD_CACHE.clear()
-    obs.gauge("aead_cache.size").set(0)
+    _cache_size_gauge().set(0)
 
 
 def aead_for(suite: CipherSuite, key: bytes):
@@ -93,7 +105,7 @@ def aead_for(suite: CipherSuite, key: bytes):
         _AEAD_CACHE.move_to_end(cache_key)
     # Set on hits too: the cache outlives obs planes (it is process-global,
     # planes are per-scenario), so a warm-cache run must still report size.
-    obs.gauge("aead_cache.size").set(len(_AEAD_CACHE))
+    _cache_size_gauge().set(len(_AEAD_CACHE))
     return aead
 
 

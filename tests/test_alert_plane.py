@@ -104,6 +104,9 @@ class TestHopByHopTeardown:
         adversary = GlobalAdversary(scenario.network)
         scenario.run_client(b"PING")
         assert scenario.server_received == [b"PING"]  # established + clean
+        # Services forget a connection once it closes: take the engines now.
+        mb0 = scenario.middlebox_engine(0)
+        mb1 = scenario.middlebox_engine(1)
 
         tap = FlipCiphertextByte(sender="mb0")
         adversary.add_tap_between("mb0", "mb1", tap)
@@ -112,7 +115,6 @@ class TestHopByHopTeardown:
         assert tap.mutations == 1
 
         # The detecting hop attributes itself...
-        mb1 = scenario.middlebox_engine(1)
         assert isinstance(mb1.abort, SessionAborted)
         assert mb1.abort.origin == "mb1"
         assert mb1.abort.alert == "bad_record_mac"
@@ -136,10 +138,11 @@ class TestHopByHopTeardown:
 
         # Nobody is left half-open: the alert swept every hop.
         assert client.closed
-        assert scenario.middlebox_engine(0).closed
+        assert mb0.closed
         assert mb1.closed
-        assert scenario.middlebox_engine(0).abort is not None
-        assert scenario.middlebox_engine(0).abort.origin == "mb1"
+        assert all(not service.drivers for service in scenario.services)
+        assert mb0.abort is not None
+        assert mb0.abort.origin == "mb1"
 
     def test_default_policy_drops_instead_of_aborting(self, pki, rng):
         """Without ``tamper_policy="abort"`` the same tampering is absorbed:

@@ -213,6 +213,24 @@ class TestCryptoBenchGate:
         assert any("3x floor" in p for p in problems)
         assert any("2x floor" in p for p in problems)
 
+    def test_gate_ignores_short_lived_and_kex_legs(self):
+        from repro.bench.crypto import check_regression
+
+        fresh = dict(self._report(), short_lived=[{
+            "suite": "aes-128-gcm", "record_bytes": 16,
+            "setup_and_first_seal_us": 1e9, "second_seal_us": 1e9,
+        }], kex={"base_us": 1e9})
+        assert check_regression(fresh, self._report()) == []
+
+    def test_short_lived_leg_shape(self):
+        from repro.bench.crypto import bench_short_lived
+
+        legs = bench_short_lived(sizes=(16,), repeats=1, keys=2)
+        assert [(leg["suite"], leg["record_bytes"]) for leg in legs] == [
+            ("aes-128-gcm", 16), ("aes-256-gcm", 16)]
+        for leg in legs:
+            assert leg["setup_and_first_seal_us"] > 0 and leg["second_seal_us"] > 0
+
     def test_legacy_gcm_seal_matches_fast_path(self):
         from repro.bench.crypto import _legacy_gcm_seal
         from repro.crypto.gcm import AESGCM

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, _SBOX
 from repro.crypto.bitsliced import BitslicedCtr, ByteslicedCtr, _ByteLayout, _Layout
+from repro.crypto.gcm import _GHash, _R, _shoup_table
 from repro.errors import CryptoError
 
 
@@ -88,9 +89,9 @@ class TestCtrKeystream:
             for j in range(nblocks)
         )
 
-    # Block counts on the byte-sliced side (including its padding to
-    # multiples of 8), straddling the bitslice cutover, and past the
-    # bitsliced engine's next padded size.
+    # Block counts on the byte-sliced side (including its 1/2/4-lane
+    # passes and its padding to multiples of 8), straddling the bitslice
+    # cutover, and past the bitsliced engine's next padded size.
     @pytest.mark.parametrize("nblocks", sorted(
         {1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 33, 64, 65, 100}
         | {AES._BITSLICE_THRESHOLD + d for d in (-8, -1, 0, 1, 8)}
@@ -102,6 +103,24 @@ class TestCtrKeystream:
         assert cipher.ctr_keystream(prefix, 2, nblocks) == self._scalar_keystream(
             cipher, prefix, 2, nblocks
         )
+
+    # Padded size per request: 1, 2 and 4 lanes, then multiples of 8.
+    _LANES = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 16}
+
+    @pytest.mark.parametrize("initial_counter", [2, (1 << 32) - 1])
+    @pytest.mark.parametrize("nblocks", sorted(_LANES))
+    @pytest.mark.parametrize("key_length", [16, 24, 32])
+    def test_narrow_byteslice_passes_match_scalar(
+        self, key_length, nblocks, initial_counter, rng
+    ):
+        # The engine itself, so every width runs whatever the cipher's
+        # cutover; from 2^32 - 1 the counter wraps after the first block.
+        cipher = AES(rng.random_bytes(key_length))
+        engine = ByteslicedCtr(cipher._round_keys, cipher._rounds)
+        prefix = rng.random_bytes(12)
+        assert engine.keystream(prefix, initial_counter, nblocks) == (
+            cipher._ctr_scalar(prefix, initial_counter, nblocks))
+        assert set(engine._rk_cache) == {self._LANES[nblocks]}
 
     def test_counter_wraps_at_32_bits(self, rng):
         # 32 blocks: the byte-sliced engine.
@@ -171,7 +190,7 @@ class TestCtrKeystream:
         prefix = rng.random_bytes(12)
         for nblocks in range(1, AES._BITSLICE_THRESHOLD):
             cipher.ctr_keystream(prefix, 2, nblocks)
-        padded = set(range(8, AES._BITSLICE_THRESHOLD + 7, 8))
+        padded = {1, 2, 4} | set(range(8, AES._BITSLICE_THRESHOLD + 7, 8))
         assert set(cipher._bytesliced._rk_cache) == padded
         assert padded <= set(_ByteLayout._cache)
         assert cipher._bitsliced is None
@@ -195,3 +214,58 @@ class TestCtrKeystream:
         assert cipher._bitsliced is None
         cipher.ctr_keystream(prefix, 2, 1)
         assert cipher._bytesliced is engine
+
+
+def _gf128_mul(x: int, y: int) -> int:
+    """SP 800-38D Algorithm 1, bit by bit (bit-reflected representation)."""
+    z, v = 0, y
+    for i in range(127, -1, -1):
+        if (x >> i) & 1:
+            z ^= v
+        v = (v >> 1) ^ _R if v & 1 else v >> 1
+    return z
+
+
+def _horner(ghash: _GHash, aad: bytes, ciphertext: bytes) -> int:
+    """GHASH one zero-padded block at a time through ``_mul_h``."""
+    lengths = ((len(aad) * 8) << 64 | (len(ciphertext) * 8)).to_bytes(16, "big")
+    y = 0
+    for chunk in (aad, ciphertext, lengths):
+        for offset in range(0, len(chunk), 16):
+            block = chunk[offset:offset + 16].ljust(16, b"\0")
+            y = ghash._mul_h(y ^ int.from_bytes(block, "big"))
+    return y
+
+
+class TestGhashScalar:
+    """The one-fold scalar GHASH below the table cutover."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(h=st.integers(0, (1 << 128) - 1))
+    def test_shoup_table_matches_bit_loop(self, h):
+        table = _shoup_table(h)
+        assert [table[b] for b in range(256)] == [
+            _gf128_mul(b << 120, h) for b in range(256)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=st.integers(0, (1 << 128) - 1), aad=st.binary(max_size=80),
+           ciphertext=st.binary(max_size=80))
+    def test_matches_horner_reference(self, h, aad, ciphertext):
+        ghash = _GHash(h)
+        assert ghash.digest(aad, ciphertext) == _horner(ghash, aad, ciphertext)
+        assert ghash._bulk_tables is None
+
+    @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 63, 64, 65, 1000])
+    def test_matches_table_path_across_the_build(self, length, rng):
+        ghash = _GHash(int.from_bytes(rng.random_bytes(16), "big"))
+        aad = rng.random_bytes(13)
+        ciphertext = rng.random_bytes(length)
+        expected = _horner(ghash, aad, ciphertext)
+        # The record leaves the key one byte short of the gate...
+        ghash.digest(b"", bytes(_GHash._BULK_BUILD_BYTES - length - 1))
+        assert ghash.digest(aad, ciphertext) == expected
+        assert ghash._bulk_tables is None
+        # ...one more byte reaches it, and the tables serve the record.
+        ghash.digest(b"", bytes(1))
+        assert ghash.digest(aad, ciphertext) == expected
+        assert ghash._bulk_tables is not None

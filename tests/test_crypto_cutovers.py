@@ -3,8 +3,9 @@
 The fast paths switch at sizes read from the class constants below: the
 byte-sliced CTR engine below ``AES._BITSLICE_THRESHOLD`` keystream blocks
 and the bitsliced one from there on (GCM asks for one block more than the
-data, for the tag mask E_K(J0)), both engines' padding to multiples of 8
-blocks, and the 4-block aggregated GHASH step.
+data, for the tag mask E_K(J0)), the byte-sliced engine's 1, 2 and 4-lane
+passes, both engines' padding to multiples of 8 blocks, and the 4-block
+aggregated GHASH step.
 GHASH tables are built once a key has hashed ``_GHash._BULK_BUILD_BYTES``
 and then serve every record size, so each length runs with the tables
 absent and built.
@@ -24,12 +25,13 @@ MAX_RECORD = 16 * 1024
 
 # Data blocks + J0 last stay below the bitslice cutover, then last fill
 # the bitsliced engine's first padded size; the byte-sliced engine's
-# first two padded sizes (8 and 16 blocks); group-aligned sizes end with
-# no single-block tail.
+# narrow passes (with J0, 1..16 and 17..48 data bytes run on 2 and 4
+# lanes) and its first two multiple-of-8 sizes (8 and 16 blocks);
+# group-aligned sizes end with no single-block tail.
 _CUTOVER = BLOCK * (AES._BITSLICE_THRESHOLD - 2)
 _PADDED = BLOCK * (((AES._BITSLICE_THRESHOLD + 7) & ~7) - 1)
-_BOUNDARIES = (BLOCK, GROUP, BLOCK * 7, BLOCK * 15, 4 * GROUP, 8 * GROUP,
-               _CUTOVER, _PADDED)
+_BOUNDARIES = (BLOCK, BLOCK * 2, BLOCK * 3, BLOCK * 4, GROUP, BLOCK * 7,
+               BLOCK * 15, 4 * GROUP, 8 * GROUP, _CUTOVER, _PADDED)
 LENGTHS = sorted(
     {0, 1, MAX_RECORD} | {b + d for b in _BOUNDARIES for d in (-1, 0, 1)}
 )

@@ -7,9 +7,16 @@ actually captured on every directed hop. Metrics that disagree with the
 wire are worse than no metrics.
 """
 
+import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro import obs
 from repro.obs.metrics import COUNT_BUCKETS, MetricsRegistry, SCHEMA_VERSION
@@ -210,9 +217,80 @@ class TestDeterminism:
 
         assert counts("seed-a") == counts("seed-b")
 
+    # sha256 of ``python -m repro metrics --json`` stdout.  The report
+    # includes the process-global AEAD cache's size gauge, so it is taken
+    # from a fresh interpreter.  Any series added, dropped or changed by
+    # an instrumentation site (bound handles included) moves it.
+    METRICS_JSON_SHA256 = (
+        "17d30f9ed4050bca6c58b4ade96378c842fdfa1951b8f039ccfdc2fe5421670b")
+
+    def test_metrics_json_digest_pinned(self):
+        src = str(pathlib.Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "metrics", "--json"],
+            capture_output=True, env=env, timeout=240,
+        )
+        assert result.returncode == 0, result.stderr
+        digest = hashlib.sha256(result.stdout).hexdigest()
+        assert digest == self.METRICS_JSON_SHA256
+
     def test_no_wall_time_in_default_metrics(self):
         from repro.bench.observability import run_observed
 
         run = run_observed(seed="walltime", flights=1)
         histograms = run.plane.metrics.snapshot()["histograms"]
         assert "aead_seal_seconds" not in histograms
+
+
+class TestBoundHandles:
+    """Per-record and per-chunk sites bind their series lazily, per plane."""
+
+    def test_record_plane_resolves_each_series_on_its_first_update(self):
+        from repro.io.record_plane import RecordPlane
+        from repro.wire.records import ContentType
+
+        with obs.scoped() as first:
+            record_plane = RecordPlane()
+            record_plane.party = "p"
+            assert record_plane.data_to_send() == b""
+            assert first.metrics.snapshot()["counters"] == {}
+            record_plane.queue_record(ContentType.HANDSHAKE, b"hello")
+            record_plane.data_to_send()
+            # A plaintext flight drains without sealing anything.
+            snapshot = first.metrics.snapshot()
+            assert set(snapshot["counters"]) == {"flights_drained", "bytes_drained"}
+            assert snapshot["histograms"] == {}
+            # The drain handles follow the party...
+            record_plane.party = "q"
+            record_plane.queue_record(ContentType.HANDSHAKE, b"hi")
+            record_plane.data_to_send()
+            assert first.metrics.counter_value("bytes_drained", party="p") == 10
+            assert first.metrics.counter_value("bytes_drained", party="q") == 7
+        # ...and the plane: a swap binds afresh on the next update.
+        with obs.scoped() as second:
+            record_plane.queue_record(ContentType.HANDSHAKE, b"x")
+            record_plane.data_to_send()
+            assert second.metrics.counter_value("flights_drained", party="q") == 1
+        assert first.metrics.counter_value("flights_drained", party="q") == 1
+
+    def test_stream_resolves_link_counters_on_first_delivery(self):
+        from repro.netsim.network import Network
+
+        with obs.scoped() as plane:
+            network = Network()
+            network.add_host("a")
+            network.add_host("b")
+            network.add_link("a", "b", 0.001)
+            network.host("b").listen(80, lambda sock, src: None)
+            socket = network.host("a").connect("b", 80)
+            network.sim.run()
+            assert socket.connected
+            assert plane.metrics.snapshot()["counters"] == {}
+            socket.send(b"abc")
+            socket.send(b"de")
+            network.sim.run()
+            assert plane.metrics.counter_value(
+                "net_chunks_delivered", link="a-b") == 2
+            assert plane.metrics.counter_value(
+                "net_bytes_delivered", link="a-b") == 5

@@ -227,15 +227,40 @@ class TestEstablishedSessionRobustness:
         down the onward segment with a clean close_notify, not leave the
         server half-open forever."""
         scenario = self._established(pki, rng)
+        mb_driver = scenario.services[0].drivers[0]
         scenario.client_driver.socket.close()
         scenario.network.sim.run()
-        mb_driver = scenario.services[0].drivers[0]
         assert mb_driver.engine.closed
         assert mb_driver.up is not None and mb_driver.up.closed
+        assert scenario.services[0].drivers == []  # forgotten once closed
         closes = [
             e for e in scenario.server_events if isinstance(e, ConnectionClosed)
         ]
         assert closes and closes[-1].error is None  # close_notify, not a hang
+
+    def test_service_forgets_closed_connections_without_a_poll(self, pki, rng):
+        """A middlebox service drops a connection's driver when both of its
+        segments close, not on the next backpressure poll."""
+        scenario = self._established(pki, rng)
+        service = scenario.services[0]
+        assert len(service.drivers) == 1
+        service.max_outbox_fill()
+        scenario.client_driver.socket.close()
+        scenario.network.sim.run()
+        assert service.drivers == []
+        assert service.max_outbox_fill() == 0.0
+        # Drained counts connections live at the last poll or opened since;
+        # this one closed before the poll above.
+        assert service.drain_sessions() == 0
+
+    def test_drain_counts_connections_closed_since_the_last_poll(self, pki, rng):
+        scenario = self._established(pki, rng)
+        service = scenario.services[0]
+        scenario.client_driver.socket.close()
+        scenario.network.sim.run()
+        assert service.drivers == []
+        assert service.drain_sessions() == 1
+        assert service.drain_sessions() == 0
 
     def test_server_side_close_propagates_down(self, pki, rng):
         """Server host dies abruptly: the middlebox must notice its upstream
