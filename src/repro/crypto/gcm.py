@@ -53,7 +53,7 @@ def _shoup_table(h: int) -> list[int]:
         basis.append(_mul_x(basis[-1]))
     table = [0]
     for value in reversed(basis):
-        table += list(map(value.__xor__, table))
+        table += [t ^ value for t in table]
     return table
 
 
