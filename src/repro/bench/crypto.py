@@ -303,8 +303,8 @@ def bench_kex(repeats: int = 5, calls: int = 10) -> dict:
     ``ladder_base_us`` runs the Montgomery ladder at u = 9, the reference
     the comb replaces for key generation; ``table_build_ms`` and
     ``table_kib`` are the comb table's one-time cost, paid by the first
-    base-point call in a process. The three legs take turns within each repeat, so a drift in machine
-    speed shifts all of them alike.
+    base-point call in a process. The three legs take turns within each
+    repeat, so a drift in machine speed shifts all of them alike.
     """
     private = bytes(range(1, 33))
     peer = x25519_base(bytes(range(33, 65)))  # also builds the table

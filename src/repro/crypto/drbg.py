@@ -31,19 +31,17 @@ class HmacDrbg:
         self._update(seed + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
-        self._key = hmac.new(self._key, self._value + b"\x00" + provided, "sha256").digest()
-        self._value = hmac.new(self._key, self._value, "sha256").digest()
+        self._key = hmac.digest(self._key, self._value + b"\x00" + provided, "sha256")
+        self._value = hmac.digest(self._key, self._value, "sha256")
         if provided:
-            self._key = hmac.new(
-                self._key, self._value + b"\x01" + provided, "sha256"
-            ).digest()
-            self._value = hmac.new(self._key, self._value, "sha256").digest()
+            self._key = hmac.digest(self._key, self._value + b"\x01" + provided, "sha256")
+            self._value = hmac.digest(self._key, self._value, "sha256")
 
     def random_bytes(self, length: int) -> bytes:
         """Generate ``length`` pseudorandom bytes."""
         output = bytearray()
         while len(output) < length:
-            self._value = hmac.new(self._key, self._value, "sha256").digest()
+            self._value = hmac.digest(self._key, self._value, "sha256")
             output += self._value
         self._update()
         return bytes(output[:length])

@@ -13,8 +13,8 @@ def p_hash(secret: bytes, seed: bytes, length: int, hash_name: str = "sha256") -
     output = bytearray()
     a = seed
     while len(output) < length:
-        a = hmac.new(secret, a, hash_name).digest()
-        output += hmac.new(secret, a + seed, hash_name).digest()
+        a = hmac.digest(secret, a, hash_name)
+        output += hmac.digest(secret, a + seed, hash_name)
     return bytes(output[:length])
 
 
@@ -33,7 +33,7 @@ def hkdf_extract(salt: bytes, ikm: bytes, hash_name: str = "sha256") -> bytes:
     """HKDF-Extract: PRK = HMAC(salt, IKM)."""
     if not salt:
         salt = b"\x00" * hashlib.new(hash_name).digest_size
-    return hmac.new(salt, ikm, hash_name).digest()
+    return hmac.digest(salt, ikm, hash_name)
 
 
 def hkdf_expand(
@@ -47,7 +47,7 @@ def hkdf_expand(
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hash_name).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), hash_name)
         output += block
         counter += 1
     return bytes(output[:length])

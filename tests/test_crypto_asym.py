@@ -53,13 +53,24 @@ def _u(value: int) -> bytes:
 
 # Clamping fixes the low window to 0 or 8 and the top window to 4..7, so
 # each pattern holds for the windows in between.
+_WINDOW_SCALARS = [
+    pytest.param(_u((0x4 << 252) | ((1 << 252) - 8)), id="windows-all-15"),
+    pytest.param(b"\xf0" * 32, id="windows-0-15"),
+    pytest.param(b"\x0f" * 32, id="windows-15-0"),
+]
 _EDGE_SCALARS = [
     pytest.param(bytes(32), id="all-zero"),  # clamps to 2^254
     pytest.param(b"\xff" * 32, id="all-ff"),
     pytest.param(_u(0x7 << 252), id="top-window-only"),
-    pytest.param(_u((0x4 << 252) | ((1 << 252) - 8)), id="windows-all-15"),
-    pytest.param(b"\xf0" * 32, id="windows-0-15"),
-    pytest.param(b"\x0f" * 32, id="windows-15-0"),
+    *_WINDOW_SCALARS,
+]
+
+# Every non-canonical u below 2^255 (p .. 2^255 - 1, which the ladder
+# takes unreduced), each also with the masked bit 255 set.
+_NON_CANONICAL = [
+    pytest.param(_u(value | high), id=f"u=p+{value - _P}{'+bit255' if high else ''}")
+    for value in range(_P, 1 << 255)
+    for high in (0, 1 << 255)
 ]
 
 # Peers whose ladder ends at z2 = 0: the small-order points (0, 1, p-1
@@ -148,6 +159,27 @@ class TestX25519Cutover:
             except ValueError:  # the oracle refuses an all-zero result
                 expected = bytes(32)
             assert x25519(private, peer) == expected
+
+    @pytest.mark.parametrize("peer", _NON_CANONICAL)
+    @pytest.mark.parametrize("private", _WINDOW_SCALARS)
+    def test_non_canonical_peer_matches_oracle(self, private, peer):
+        try:
+            expected = _oracle_shared(private, peer)
+        except ValueError:  # p and p+1 decode to the low-order 0 and 1
+            expected = bytes(32)
+        assert x25519(private, peer) == expected
+
+    @pytest.mark.parametrize("rounds", [1, 1000])
+    def test_rfc7748_iteration_matches_oracle(self, rounds):
+        # RFC 7748 §5.2: k = u = 9; each round sets k, u = X25519(k, u), k.
+        # The oracle runs the same loop, so no vector is copied in.
+        def iterate(scalar_mult):
+            k = u = _u(9)
+            for _ in range(rounds):
+                k, u = scalar_mult(k, u), k
+            return k
+
+        assert iterate(x25519) == iterate(_oracle_shared)
 
     def test_base_point_takes_the_comb(self, rng, monkeypatch):
         private = rng.random_bytes(32)

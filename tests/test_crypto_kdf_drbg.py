@@ -1,5 +1,7 @@
 """KDFs (TLS PRF, HKDF vs oracle) and the HMAC-DRBG."""
 
+import hmac
+
 import pytest
 from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF as OracleHKDF
@@ -29,6 +31,19 @@ class TestPrf:
     def test_p_hash_lengths(self, length):
         assert len(p_hash(b"secret", b"seed", length)) == length
 
+    @pytest.mark.parametrize("hash_name", ["sha256", "sha384"])
+    @pytest.mark.parametrize("length", [12, 48, 104, 136])
+    def test_p_hash_matches_rfc5246_loop(self, hash_name, length):
+        # RFC 5246 §5: A(0) = seed, A(i) = HMAC(secret, A(i-1)),
+        # P_hash = HMAC(secret, A(1) + seed) + HMAC(secret, A(2) + seed) + ...
+        secret, seed = b"\x0b" * 48, b"master secret" + bytes(range(64))
+        expected, a = b"", seed
+        while len(expected) < length:
+            a = hmac.new(secret, a, hash_name).digest()
+            expected += hmac.new(secret, a + seed, hash_name).digest()
+        assert p_hash(secret, seed, length, hash_name) == expected[:length]
+        assert prf(secret, b"", seed, length, hash_name) == expected[:length]
+
 
 class TestHkdf:
     def test_matches_oracle(self, rng):
@@ -53,6 +68,22 @@ class TestHkdf:
 
 
 class TestDrbg:
+    # Known answers: every seeded handshake, transcript and ledger digest
+    # follows from these streams, so they must never drift.
+    def test_known_answer_stream(self):
+        assert HmacDrbg(b"seed").random_bytes(64).hex() == (
+            "945418b8333283ae441104ff0af8ab77c755914dbcd4971f9db434098d72cc5f"
+            "bcb6778fbaa207c9ede8824d282ef085d263945bd4908919c9eeab1c06ab119d"
+        )
+
+    def test_known_answer_fork(self):
+        assert HmacDrbg(b"seed").fork(b"x").random_bytes(32).hex() == (
+            "b98b26477c0a8d05ab75bc48c72d9fa48fb3ea97db85d8d5b456ca0b5ace6ba0"
+        )
+
+    def test_known_answer_randbits(self):
+        assert HmacDrbg(b"seed").randbits(53) == 5218845212436048
+
     def test_determinism(self):
         assert HmacDrbg(b"seed").random_bytes(64) == HmacDrbg(b"seed").random_bytes(64)
 
