@@ -11,6 +11,9 @@ Two measurements back the fast-path work in ``repro.crypto``:
 * **Short-lived keys** — microseconds an AES-GCM key costs when it seals
   only a few small records, as each hop direction of a resumed session
   does: building the context plus its first seal, then the second seal.
+* **GHASH tables** — ns/B to hash a short record over the H^1 tables and
+  over the H^1..H^4 aggregate, under one hot key and inside a
+  2-middlebox chain, with each key's table memory.
 * **Key agreement** — microseconds per X25519 call: key generation (the
   fixed-base comb), the exchange (the Montgomery ladder), and the ladder
   at the base point as the in-library reference for the comb.
@@ -33,7 +36,13 @@ import time
 
 from repro.crypto.aes import AES
 from repro.crypto.chacha import ChaCha20Poly1305
-from repro.crypto.gcm import AESGCM, _GHash
+from repro.crypto.gcm import (
+    _AGGREGATE_BLOCKS,
+    AESGCM,
+    _digest_aggregate,
+    _digest_h1,
+    _GHash,
+)
 from repro.crypto.x25519 import (
     _build_comb_table,
     _decode_scalar,
@@ -48,6 +57,7 @@ __all__ = [
     "bench_primitives",
     "bench_small_records",
     "bench_short_lived",
+    "bench_ghash",
     "bench_kex",
     "bench_chain",
     "run",
@@ -59,6 +69,8 @@ SCHEMA_VERSION = 2
 RECORD_BYTES = 16384  # one max-size TLS record
 SMALL_RECORD_BYTES = (64, 512, 1024, 4096)
 SHORT_LIVED_BYTES = (16, 64, 512)
+# A short record, a multiple of 256 B as the chain's payload must be.
+GHASH_RECORD_BYTES = 768
 
 
 def git_describe() -> str:
@@ -121,6 +133,20 @@ def _legacy_gcm_seal(gcm: AESGCM, nonce: bytes, plaintext: bytes, aad: bytes) ->
 # ---------------------------------------------------------------- primitives
 
 
+def _warm_ghash(aead: AESGCM, record_bytes: int) -> None:
+    """Seal ``record_bytes`` records until the key's GHASH tables exist.
+
+    A key builds its H^1 position tables once it has hashed
+    ``_GHash._BULK_BUILD_BYTES``, and those of H^2..H^4 on its first
+    record of ``_AGGREGATE_BLOCKS`` blocks, so this leaves the tables a
+    long-lived key carrying records of this size holds.
+    """
+    nonce = b"\x00" * 12
+    plaintext = bytes(record_bytes)
+    for _ in range(-(-_GHash._BULK_BUILD_BYTES // record_bytes)):
+        aead.encrypt(nonce, plaintext)
+
+
 class _scalar_chacha:
     """Force the pre-fast-path ChaCha code: per-block rounds, per-block Poly."""
 
@@ -166,10 +192,9 @@ def bench_primitives(
     for name, factory in _SUITES:
         aead = factory()
         if isinstance(aead, AESGCM):
-            # Steady-state throughput is the quantity under test: build the
-            # aggregated GHASH tables up front instead of waiting for the
-            # amortization gate to see _BULK_BUILD_BYTES of traffic.
-            aead._ghash._byte_tables()
+            # Steady-state throughput is the quantity under test: take the
+            # key past the GHASH table-build gate before timing it.
+            _warm_ghash(aead, record_bytes)
         sealed = aead.encrypt(nonce, plaintext, aad)
         seal_s = _time_per_call(lambda: aead.encrypt(nonce, plaintext, aad), repeats)
         open_s = _time_per_call(lambda: aead.decrypt(nonce, sealed, aad), repeats)
@@ -212,7 +237,11 @@ def bench_small_records(
     """AES-GCM seal time per record at small sizes, vs the scalar path.
 
     Each timing covers enough records to take a few milliseconds; GHASH
-    tables are built first, as in a long-lived session.
+    tables are built first, as in a long-lived session carrying records
+    of these sizes: all are below ``_AGGREGATE_BLOCKS`` blocks, so the key
+    holds the H^1 tables only and hashes one block per step.  One hot key
+    is the case where the 4-block aggregate would be faster; the workload
+    figures that set the cutover are in DESIGN.md section 10.
     """
     nonce = b"\x00" * 11 + b"\x01"
     aad = b"\x00" * 13
@@ -221,7 +250,7 @@ def bench_small_records(
         aead = factory()
         if not isinstance(aead, AESGCM):
             continue
-        aead._ghash._byte_tables()
+        _warm_ghash(aead, max(sizes))
         for size in sizes:
             plaintext = (bytes(range(256)) * (size // 256 + 1))[:size]
             batch = max(1, 8192 // size)
@@ -294,6 +323,70 @@ def bench_short_lived(
             "second_seal_us": round(second[name, key_length, size] * 1e6, 1),
         }
         for name, key_length, size in legs
+    ]
+
+
+def bench_ghash(
+    record_bytes: int = GHASH_RECORD_BYTES, repeats: int = 5, calls: int = 50,
+    flights: int = 600, chain_repeats: int = 2,
+) -> list[dict]:
+    """GHASH ns/B on short records per table set, hot and inside a chain.
+
+    The ``h1`` row hashes one block per step over the 16 H^1 tables, which
+    serve records below ``_AGGREGATE_BLOCKS`` blocks; the ``aggregate``
+    row hashes four blocks per step over the 64 tables of H^1..H^4.
+    ``hot_ns_per_byte`` times one key hashing the same record over and
+    over, its legs taking turns within each repeat.  ``chain_ns_per_byte``
+    times every table-driven digest while ``flights`` records of
+    ``record_bytes`` cross a 2-middlebox chain and are echoed back, so
+    six hop keys are live; the ``aggregate`` row forces the aggregate for
+    every record.  The chain legs take turns, each reporting its best run.  ``table_kib`` is one key's tables by
+    ``sys.getsizeof``.
+    """
+    from repro.tls.record_layer import reset_aead_cache
+
+    aead = AESGCM(bytes(range(16)))
+    _warm_ghash(aead, record_bytes)
+    # One long record adds the H^2..H^4 tables the aggregate row reads.
+    aead.encrypt(b"\x00" * 12, bytes(16 * _AGGREGATE_BLOCKS))
+    ghash = aead._ghash
+    ciphertext = (bytes(range(256)) * (record_bytes // 256 + 1))[:record_bytes]
+    chunks = (b"\x00" * 13, ciphertext,
+              ((13 * 8) << 64 | (record_bytes * 8)).to_bytes(16, "big"))
+    sets = {
+        "h1": (_digest_h1, ghash._h1_tables),
+        "aggregate": (_digest_aggregate, ghash._aggregate_tables),
+    }
+    for digest, tables in sets.values():
+        assert digest(tables, chunks) == ghash.digest(*chunks[:2]), \
+            "table sets diverged"
+    hot = dict.fromkeys(sets, float("inf"))
+    for _ in range(repeats):
+        for name, (digest, tables) in sets.items():
+            start = time.perf_counter()
+            for _ in range(calls):
+                digest(tables, chunks)
+            hot[name] = min(hot[name], (time.perf_counter() - start) / calls)
+    chain = dict.fromkeys(sets, float("inf"))
+    for _ in range(chain_repeats):
+        for name in sets:
+            # Each run starts from fresh contexts, not the last run's.
+            reset_aead_cache()
+            with _timed_ghash(aggregate_only=name == "aggregate") as timed:
+                _run_chain_once(2, flights, record_bytes,
+                                b"ghash-" + name.encode(), echo=True)
+            chain[name] = min(chain[name], timed.seconds / timed.bytes)
+    return [
+        {
+            "tables": name,
+            "record_bytes": record_bytes,
+            "table_kib": round(sum(
+                sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+                for table in tables) / 1024),
+            "hot_ns_per_byte": round(hot[name] / record_bytes * 1e9, 1),
+            "chain_ns_per_byte": round(chain[name] * 1e9, 1),
+        }
+        for name, (_, tables) in sets.items()
     ]
 
 
@@ -387,10 +480,56 @@ class _scalar_crypto:
         return False
 
 
+class _timed_ghash:
+    """Time every table-driven GHASH digest, per ciphertext byte.
+
+    With ``aggregate_only`` every record past the table-build gate hashes
+    over the H^1..H^4 aggregate, as all of them did before the 512-block
+    cutover.
+    """
+
+    def __init__(self, aggregate_only: bool) -> None:
+        self._aggregate_only = aggregate_only
+        self.seconds = 0.0
+        self.bytes = 0
+
+    def _timed(self, digest):
+        def run(tables, chunks):
+            start = time.perf_counter()
+            y = digest(tables, chunks)
+            self.seconds += time.perf_counter() - start
+            self.bytes += len(chunks[1])
+            return y
+        return run
+
+    def __enter__(self):
+        from repro.crypto import gcm
+
+        self._saved = (gcm._digest_h1, gcm._digest_aggregate,
+                       gcm._AGGREGATE_MIN_BYTES)
+        gcm._digest_h1 = self._timed(gcm._digest_h1)
+        gcm._digest_aggregate = self._timed(gcm._digest_aggregate)
+        if self._aggregate_only:
+            gcm._AGGREGATE_MIN_BYTES = 0
+        return self
+
+    def __exit__(self, *exc):
+        from repro.crypto import gcm
+
+        gcm._digest_h1, gcm._digest_aggregate, gcm._AGGREGATE_MIN_BYTES = \
+            self._saved
+        return False
+
+
 def _run_chain_once(
-    middlebox_count: int, flights: int, flight_bytes: int, seed: bytes
+    middlebox_count: int, flights: int, flight_bytes: int, seed: bytes,
+    echo: bool = False,
 ) -> float:
-    """Streams ``flights`` flights client->server; returns data-phase seconds."""
+    """Streams ``flights`` flights client->server; returns data-phase seconds.
+
+    With ``echo`` the server sends each flight back, so every hop key of
+    both directions is live, as in a request/response exchange.
+    """
     from repro.bench.scenarios import Pki, build_chain_network
     from repro.core.config import (
         MbTLSEndpointConfig,
@@ -431,14 +570,19 @@ def _run_chain_once(
     def on_server_event(engine, driver, event):
         if isinstance(event, ApplicationData):
             received[0] += len(event.data)
+            if echo:
+                driver.send_application_data(event.data)
 
     serve_mbtls(network.host("server"), make_server_config, on_event=on_server_event)
 
     established = [False]
+    echoed = [0]
 
     def on_client_event(event):
         if isinstance(event, SessionEstablished):
             established[0] = True
+        elif isinstance(event, ApplicationData):
+            echoed[0] += len(event.data)
 
     config = MbTLSEndpointConfig(
         tls=TLSConfig(
@@ -461,6 +605,8 @@ def _run_chain_once(
     elapsed = time.perf_counter() - start
     if received[0] != flights * flight_bytes:
         raise RuntimeError("chain bench: server missed data")
+    if echoed[0] != (flights * flight_bytes if echo else 0):
+        raise RuntimeError("chain bench: client missed the echo")
     return elapsed
 
 
@@ -555,12 +701,14 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         primitives = bench_primitives(repeats=3, legacy_repeats=1)
         small = bench_small_records(repeats=3, legacy_repeats=1)
         short_lived = bench_short_lived(repeats=2)
+        ghash = bench_ghash(repeats=2, flights=300, chain_repeats=1)
         kex = bench_kex(repeats=2)
         chain = bench_chain(flights=4, workers=workers)
     else:
         primitives = bench_primitives()
         small = bench_small_records()
         short_lived = bench_short_lived()
+        ghash = bench_ghash()
         kex = bench_kex()
         chain = bench_chain(workers=workers)
     return {
@@ -572,6 +720,7 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         "primitives": primitives,
         "small_records": small,
         "short_lived": short_lived,
+        "ghash": ghash,
         "kex": kex,
         "chain": chain,
     }

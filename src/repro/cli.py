@@ -371,6 +371,14 @@ def _cmd_bench(args) -> None:
     print(render_table("AES-GCM short-lived keys — GHASH tables absent",
                        ["suite", "bytes", "key + first seal µs",
                         "second seal µs"], rows))
+    rows = [
+        [p["tables"], f"{p['table_kib']:,}", f"{p['hot_ns_per_byte']}",
+         f"{p['chain_ns_per_byte']}"]
+        for p in report["ghash"]
+    ]
+    print(render_table(f"GHASH — {report['ghash'][0]['record_bytes']} B records",
+                       ["tables", "KiB per key", "ns/B one key",
+                        "ns/B in a chain"], rows))
     kex = report["kex"]
     print(f"X25519: {kex['base_us']:,.0f} µs keygen (comb), "
           f"{kex['exchange_us']:,.0f} µs exchange (ladder), "

@@ -204,30 +204,17 @@ class _Lanes:
         return self
 
 
-#: Cached per-key lane replications, keyed ``(key, lane_count)``.
-_KEY_LANES: dict[tuple[bytes, int], tuple[int, ...]] = {}
-
-
-def _key_lanes(key: bytes, lanes: _Lanes) -> tuple[int, ...]:
-    cache_key = (key, lanes.n)
-    cached = _KEY_LANES.get(cache_key)
-    if cached is None:
-        if len(_KEY_LANES) > 128:
-            _KEY_LANES.clear()
-        rep = lanes.rep
-        cached = tuple(
-            int.from_bytes(key[i : i + 4], "little") * rep for i in range(0, 32, 4)
-        )
-        _KEY_LANES[cache_key] = cached
-    return cached
-
-
-def _vector_run(key: bytes, segments: list[tuple[bytes, int, int]]) -> bytes:
+def _vector_run(
+    key: bytes, segments: list[tuple[bytes, int, int]],
+    key_lanes: dict[int, tuple[int, ...]],
+) -> bytes:
     """One lane-engine pass over ``(nonce, counter, nblocks)`` segments.
 
     Segment lanes are laid out left to right in submission order; lane
     counts are padded to a multiple of 8 (zero nonce/counter — their
     keystream is discarded) so the layout cache stays small.
+    ``key_lanes`` maps a lane count to the key's eight words replicated
+    over that many lanes, filled here on first use.
     """
     total = 0
     for _, _, nblocks in segments:
@@ -248,7 +235,13 @@ def _vector_run(key: bytes, segments: list[tuple[bytes, int, int]]) -> bytes:
         offset += nblocks
 
     s0, s1, s2, s3 = lanes.consts
-    s4, s5, s6, s7, s8, s9, s10, s11 = _key_lanes(key, lanes)
+    key_words = key_lanes.get(n)
+    if key_words is None:
+        rep = lanes.rep
+        key_words = key_lanes[n] = tuple(
+            int.from_bytes(key[i : i + 4], "little") * rep for i in range(0, 32, 4)
+        )
+    s4, s5, s6, s7, s8, s9, s10, s11 = key_words
     x0, x1, x2, x3, x4, x5, x6, x7 = s0, s1, s2, s3, s4, s5, s6, s7
     x8, x9, x10, x11, x12, x13, x14, x15 = s8, s9, s10, s11, w12, w13, w14, w15
     for _ in range(10):
@@ -304,7 +297,10 @@ def _vector_run(key: bytes, segments: list[tuple[bytes, int, int]]) -> bytes:
     return bytes(memoryview(out)[: 64 * total])
 
 
-def _vector_keystream(key: bytes, segments: list[tuple[bytes, int, int]]) -> bytes:
+def _vector_keystream(
+    key: bytes, segments: list[tuple[bytes, int, int]],
+    key_lanes: dict[int, tuple[int, ...]],
+) -> bytes:
     """Keystream for several ``(nonce, counter, nblocks)`` segments.
 
     Splits the work into vector runs of at most :data:`_MAX_LANES` blocks
@@ -317,7 +313,7 @@ def _vector_keystream(key: bytes, segments: list[tuple[bytes, int, int]]) -> byt
     for nonce, counter, nblocks in segments:
         while nblocks:
             if run_blocks == _MAX_LANES:
-                parts.append(_vector_run(key, run))
+                parts.append(_vector_run(key, run, key_lanes))
                 run = []
                 run_blocks = 0
             take = min(nblocks, _MAX_LANES - run_blocks)
@@ -326,7 +322,7 @@ def _vector_keystream(key: bytes, segments: list[tuple[bytes, int, int]]) -> byt
             nblocks -= take
             run_blocks += take
     if run:
-        parts.append(_vector_run(key, run))
+        parts.append(_vector_run(key, run, key_lanes))
     return b"".join(parts)
 
 
@@ -342,7 +338,7 @@ def chacha20_xor(key: bytes, counter: int, nonce: bytes, data) -> bytes:
     nblocks = (n + 63) // 64
     _check_counter_span(counter, nblocks)
     if nblocks >= _VECTOR_THRESHOLD:
-        keystream = _vector_keystream(key, [(nonce, counter, nblocks)])
+        keystream = _vector_keystream(key, [(nonce, counter, nblocks)], {})
     else:
         keystream = _keystream(key, counter, nonce, nblocks)
     if n % 64:
@@ -447,6 +443,9 @@ class ChaCha20Poly1305:
         if len(key) != 32:
             raise CryptoError("ChaCha20-Poly1305 key must be 32 bytes")
         self._key = key
+        # The key's lane replications per lane count: multiples of 8 up
+        # to _MAX_LANES, so at most 32 entries, released with the context.
+        self._key_lanes: dict[int, tuple[int, ...]] = {}
 
     def _keystreams(self, requests: list[tuple[bytes, int]]) -> list[tuple[bytes, bytes]]:
         """Per-record ``(poly_key, data_keystream)`` for ``(nonce, nbytes)``.
@@ -466,7 +465,7 @@ class ChaCha20Poly1305:
             segments.append((nonce, 0, nblocks))
             total += nblocks
         if total >= _VECTOR_THRESHOLD:
-            stream = _vector_keystream(self._key, segments)
+            stream = _vector_keystream(self._key, segments, self._key_lanes)
         else:
             stream = b"".join(
                 _keystream(self._key, 0, nonce, nblocks)

@@ -4,8 +4,9 @@ GHASH uses Shoup's byte-table method: a 256-entry table of ``b * H`` keyed
 per-instance, plus a key-independent 256-entry reduction table, giving 16
 table lookups per 128-bit block instead of a 128-iteration bit loop.  Once
 a key has hashed enough ciphertext to pay for them, per-byte-position
-tables of H^1..H^4 take over for every record: 64 lookups per four blocks
-and no per-block reduction.
+tables of H take over: 16 lookups per block and no per-block reduction.
+Records of 512 blocks and more also get the tables of H^2..H^4, built on
+the key's first such record, and hash four blocks per 64-lookup step.
 """
 
 from __future__ import annotations
@@ -105,57 +106,89 @@ def _compile_digest_scalar():
 _digest_scalar = _compile_digest_scalar()
 
 
-def _compile_digest_tables():
-    """Emit GHASH over the per-position tables as one generated function.
+def _compile_digest_tables(blocks: int):
+    """Emit GHASH over per-position tables, ``blocks`` blocks per step.
 
-    ``_digest_tables(tables, chunks)`` unpacks the 64 tables into locals
-    once.  Each 4-block group unpacks its 64 bytes (the running hash
-    folded into the first block) and is the XOR of 64 lookups in one
-    expression; the single blocks left over use the last 16 tables (H^1).
+    ``_digest(tables, chunks)`` unpacks the ``16 * blocks`` tables (those
+    of H^blocks first, H^1 last) into locals once.  Each step unpacks
+    ``16 * blocks`` bytes (the running hash folded into the first block)
+    and is the XOR of as many lookups in one expression; the single
+    blocks left over, and a partial last block, use the last 16 tables
+    (H^1).  With ``blocks == 1`` every block is such a step.
     """
-    tabs = [f"t{i}" for i in range(64)]
-    group = [f"b{i}" for i in range(64)]
+    width = 16 * blocks
+    tabs = [f"t{i}" for i in range(width)]
+    group = [f"b{i}" for i in range(width)]
     single = group[:16]
+    rest = f" + chunk[offset + 16:offset + {width}]" if blocks > 1 else ""
     lines = [
-        "def _digest_tables(tables, chunks):",
+        "def _digest(tables, chunks):",
         f"    {', '.join(tabs)} = tables",
         "    y = 0",
         "    for chunk in chunks:",
         "        size = len(chunk)",
-        "        end = size - size % 64",
-        "        for offset in range(0, end, 64):",
+        f"        end = size - size % {width}",
+        f"        for offset in range(0, end, {width}):",
         f"            {', '.join(group)} = (y ^ int.from_bytes(",
         "                chunk[offset:offset + 16], 'big')).to_bytes(16, 'big')"
-        " + chunk[offset + 16:offset + 64]",
+        + rest,
         "            y = " + " ^ ".join(f"{t}[{b}]" for t, b in zip(tabs, group)),
         "        for offset in range(end, size, 16):",
         "            block = chunk[offset:offset + 16]",
         "            y ^= int.from_bytes(block, 'big') << 8 * (16 - len(block))",
         f"            {', '.join(single)} = y.to_bytes(16, 'big')",
         "            y = " + " ^ ".join(f"{t}[{b}]"
-                                       for t, b in zip(tabs[48:], single)),
+                                       for t, b in zip(tabs[-16:], single)),
         "    return y",
     ]
     ns: dict = {}
-    exec(compile("\n".join(lines), "<ghash-tables>", "exec"), ns)
-    return ns["_digest_tables"]
+    exec(compile("\n".join(lines), f"<ghash-tables-{blocks}>", "exec"), ns)
+    return ns["_digest"]
 
 
-_digest_tables = _compile_digest_tables()
+_digest_h1 = _compile_digest_tables(1)
+_digest_aggregate = _compile_digest_tables(4)
+
+# Records of at least this many ciphertext blocks (8 KiB) hash four
+# blocks per Horner step over the tables of H^1..H^4; shorter ones take
+# one block per step over the H^1 tables alone.  The aggregate's 48 extra
+# tables cost ~630 KiB per key, which a few live keys carrying short
+# records would keep in cache for nothing.
+_AGGREGATE_BLOCKS = 512
+_AGGREGATE_MIN_BYTES = 16 * (_AGGREGATE_BLOCKS - 1) + 1
+
+
+def _position_tables(top: list[int]) -> list[list[int]]:
+    """The 16 per-byte-position tables of one power of H.
+
+    ``top`` is Shoup's table of H^k, the products at byte position 0 (the
+    most significant); each position below it folds one more byte shift
+    into the products.  ``cols[j][b]`` is the fully reduced product of
+    H^k with byte value ``b`` at big-endian position ``j``, so H^k times
+    a block is the XOR of ``cols[j][block[j]]`` over its 16 bytes, with
+    no per-block reduction.
+    """
+    r8 = _R8
+    cols = [top]
+    for _ in range(15):
+        cols.append([(v >> 8) ^ r8[v & 0xFF] for v in cols[-1]])
+    return cols
 
 
 class _GHash:
     """GHASH universal hash keyed by H = E_K(0^128)."""
 
-    # The per-position tables (``_byte_tables``) serve every record once
-    # built, but they are not built until a key has hashed this much
-    # ciphertext: construction costs the same as scalar-hashing tens of
-    # KiB, so short-lived sessions that move a few records never pay it.
+    # The per-position tables are not built until a key has hashed this
+    # much ciphertext: construction costs the same as scalar-hashing tens
+    # of KiB, so short-lived sessions that move a few records never pay
+    # it.  Past the gate the H^1 tables serve every record, and the first
+    # record of ``_AGGREGATE_BLOCKS`` blocks adds those of H^2..H^4.
     _BULK_BUILD_BYTES = 64 * 1024
 
     def __init__(self, h: int) -> None:
         self._h = h
-        self._bulk_tables = None
+        self._h1_tables = None
+        self._aggregate_tables = None
         self._hashed_bytes = 0
         self._table = _shoup_table(h)
 
@@ -170,48 +203,35 @@ class _GHash:
             w = (w >> 8) ^ r8[w & 0xFF] ^ table[byte]
         return w
 
-    def _byte_tables(self) -> list[list[int]]:
-        """Per-byte-position tables of H^4, H^3, H^2, H^1, built on first use.
+    def _build_aggregate(self) -> list[list[int]]:
+        """The 64 tables of H^4, H^3, H^2, H^1 in that order.
 
-        ``cols[j][b]`` for H^k is the fully reduced GF(2^128) product of
-        H^k with byte value ``b`` at big-endian byte position ``j`` of a
-        block (position 0 is the most significant byte), so the product of
-        H^k with a block is the XOR of ``cols[j][block[j]]`` over its 16
-        bytes, with no per-block reduction.  The 64 tables of H^4, H^3,
-        H^2, H^1 in that order are one aggregated Horner step over four
-        blocks; the last 16 (H^1) are a single-block step.
+        They are one aggregated Horner step over four blocks; the last
+        16 are the H^1 tables, shared, not copied.
         """
-        tables = self._bulk_tables
-        if tables is None:
-            r8 = _R8
-            powers = []
-            h_power = self._h
-            for _ in range(4):
-                top = _shoup_table(h_power) if h_power != self._h \
-                    else self._table
-                # Position 0 is Shoup's table; each position below it
-                # folds one more byte shift into the products.
-                cols = [top]
-                for _ in range(15):
-                    prev = cols[-1]
-                    cols.append([(v >> 8) ^ r8[v & 0xFF] for v in prev])
-                powers.append(cols)
-                h_power = self._mul_h(h_power)
-            t1, t2, t3, t4 = powers
-            tables = self._bulk_tables = t4 + t3 + t2 + t1
+        powers = [self._h1_tables]
+        h_power = self._h
+        for _ in range(3):
+            h_power = self._mul_h(h_power)
+            powers.append(_position_tables(_shoup_table(h_power)))
+        tables = self._aggregate_tables = [
+            col for cols in reversed(powers) for col in cols]
         return tables
 
     def digest(self, aad: bytes, ciphertext: bytes) -> int:
         """GHASH(aad || pad || ciphertext || pad || len(aad) || len(ct))."""
         lengths = ((len(aad) * 8) << 64 | (len(ciphertext) * 8)).to_bytes(16, "big")
         chunks = (aad, ciphertext, lengths)
-        tables = self._bulk_tables
+        tables = self._h1_tables
         if tables is None:
             self._hashed_bytes += len(ciphertext)
             if self._hashed_bytes < self._BULK_BUILD_BYTES:
                 return _digest_scalar(self._table, chunks)
-            tables = self._byte_tables()
-        return _digest_tables(tables, chunks)
+            tables = self._h1_tables = _position_tables(self._table)
+        if len(ciphertext) < _AGGREGATE_MIN_BYTES:
+            return _digest_h1(tables, chunks)
+        return _digest_aggregate(
+            self._aggregate_tables or self._build_aggregate(), chunks)
 
 
 class AESGCM:

@@ -32,10 +32,16 @@ _AEAD_CACHE: OrderedDict[tuple[int, bytes], object] = OrderedDict()
 # one context per hop direction live (client/server read+write plus two per
 # middlebox), so ~6 per session with a middlebox chain and 10^4 concurrent
 # sessions needs ~6e4 contexts resident before the LRU starts thrashing.
-# Contexts are a few KiB each (key schedule + lazily built GHASH tables),
-# so the ceiling is tens of MiB — cheap next to re-deriving schedules in
-# the hot path.  Fleet runs watch the ``aead_cache.evictions`` counter to
-# see thrash instead of silently re-deriving.
+# Context sizes vary by two orders of magnitude (``sys.getsizeof``, summed
+# over the objects each holds): a short-lived AES-GCM context keeps its
+# ~13 KiB Shoup GHASH table and ~3 KiB of key schedule; a long-lived one
+# adds ~210 KiB of H^1 position tables once it has hashed 64 KiB (~840 KiB
+# with H^2..H^4, after its first record of 512 blocks), plus up to ~750 KiB
+# of bitsliced round keys when it carries 120–264-block records.  A full
+# cache of long-lived contexts would pin tens of GiB; fleet runs stay far
+# below that because their keys are short-lived.  Fleet runs watch the
+# ``aead_cache.evictions`` counter to see thrash instead of silently
+# re-deriving.
 _AEAD_CACHE_MAX = 65_536
 
 # The ``aead_cache.size`` gauge and the obs plane it was resolved on.

@@ -231,6 +231,20 @@ class TestCryptoBenchGate:
         for leg in legs:
             assert leg["setup_and_first_seal_us"] > 0 and leg["second_seal_us"] > 0
 
+    def test_ghash_leg_shape_and_restores_the_cutover(self):
+        from repro.bench.crypto import bench_ghash
+        from repro.crypto import gcm
+
+        saved = (gcm._digest_h1, gcm._digest_aggregate,
+                 gcm._AGGREGATE_MIN_BYTES)
+        rows = bench_ghash(repeats=1, calls=1, flights=100, chain_repeats=1)
+        assert [row["tables"] for row in rows] == ["h1", "aggregate"]
+        assert rows[0]["table_kib"] < rows[1]["table_kib"]
+        for row in rows:
+            assert row["hot_ns_per_byte"] > 0 and row["chain_ns_per_byte"] > 0
+        assert (gcm._digest_h1, gcm._digest_aggregate,
+                gcm._AGGREGATE_MIN_BYTES) == saved
+
     def test_legacy_gcm_seal_matches_fast_path(self):
         from repro.bench.crypto import _legacy_gcm_seal
         from repro.crypto.gcm import AESGCM

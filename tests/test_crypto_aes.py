@@ -253,7 +253,7 @@ class TestGhashScalar:
     def test_matches_horner_reference(self, h, aad, ciphertext):
         ghash = _GHash(h)
         assert ghash.digest(aad, ciphertext) == _horner(ghash, aad, ciphertext)
-        assert ghash._bulk_tables is None
+        assert ghash._h1_tables is None
 
     @pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 63, 64, 65, 1000])
     def test_matches_table_path_across_the_build(self, length, rng):
@@ -264,8 +264,8 @@ class TestGhashScalar:
         # The record leaves the key one byte short of the gate...
         ghash.digest(b"", bytes(_GHash._BULK_BUILD_BYTES - length - 1))
         assert ghash.digest(aad, ciphertext) == expected
-        assert ghash._bulk_tables is None
+        assert ghash._h1_tables is None
         # ...one more byte reaches it, and the tables serve the record.
         ghash.digest(b"", bytes(1))
         assert ghash.digest(aad, ciphertext) == expected
-        assert ghash._bulk_tables is not None
+        assert ghash._h1_tables is not None
