@@ -240,8 +240,7 @@ def bench_small_records(
     tables are built first, as in a long-lived session carrying records
     of these sizes: all are below ``_AGGREGATE_BLOCKS`` blocks, so the key
     holds the H^1 tables only and hashes one block per step.  One hot key
-    is the case where the 4-block aggregate would be faster; the workload
-    figures that set the cutover are in DESIGN.md section 10.
+    is the aggregate's best case (see :func:`bench_ghash`).
     """
     nonce = b"\x00" * 11 + b"\x01"
     aad = b"\x00" * 13
@@ -340,8 +339,8 @@ def bench_ghash(
     times every table-driven digest while ``flights`` records of
     ``record_bytes`` cross a 2-middlebox chain and are echoed back, so
     six hop keys are live; the ``aggregate`` row forces the aggregate for
-    every record.  The chain legs take turns, each reporting its best run.  ``table_kib`` is one key's tables by
-    ``sys.getsizeof``.
+    every record.  The chain legs take turns, each reporting its best
+    run.  ``table_kib`` is one key's tables by ``sys.getsizeof``.
     """
     from repro.tls.record_layer import reset_aead_cache
 
@@ -484,8 +483,7 @@ class _timed_ghash:
     """Time every table-driven GHASH digest, per ciphertext byte.
 
     With ``aggregate_only`` every record past the table-build gate hashes
-    over the H^1..H^4 aggregate, as all of them did before the 512-block
-    cutover.
+    over the H^1..H^4 aggregate, whatever its size.
     """
 
     def __init__(self, aggregate_only: bool) -> None:

@@ -36,10 +36,10 @@ _AEAD_CACHE: OrderedDict[tuple[int, bytes], object] = OrderedDict()
 # over the objects each holds): a short-lived AES-GCM context keeps its
 # ~13 KiB Shoup GHASH table and ~3 KiB of key schedule; a long-lived one
 # adds ~210 KiB of H^1 position tables once it has hashed 64 KiB (~840 KiB
-# with H^2..H^4, after its first record of 512 blocks), plus up to ~750 KiB
-# of bitsliced round keys when it carries 120–264-block records.  A full
-# cache of long-lived contexts would pin tens of GiB; fleet runs stay far
-# below that because their keys are short-lived.  Fleet runs watch the
+# with H^2..H^4, after its first record of 512 blocks), plus up to ~770 KiB
+# of bitsliced round keys (AES-256) when it carries 120–264-block records.
+# A full cache of long-lived contexts would pin tens of GiB; fleet runs stay
+# far below that because their keys are short-lived.  Fleet runs watch the
 # ``aead_cache.evictions`` counter to see thrash instead of silently
 # re-deriving.
 _AEAD_CACHE_MAX = 65_536
