@@ -10,7 +10,10 @@ Two measurements back the fast-path work in ``repro.crypto``:
   of the byte-sliced/bitsliced CTR cutover.
 * **Short-lived keys** — microseconds an AES-GCM key costs when it seals
   only a few small records, as each hop direction of a resumed session
-  does: building the context plus its first seal, then the second seal.
+  does: building the context plus its first seal, then the second seal;
+  and the parts of that first seal: the key schedule, the engine's set-up
+  and round keys, Shoup's table, passes with and without H in one more
+  lane, and the gather and strided unslice.
 * **GHASH tables** — ns/B to hash a short record over the H^1 tables and
   over the H^1..H^4 aggregate, under one hot key and inside a
   2-middlebox chain, with each key's table memory.
@@ -35,6 +38,13 @@ import sys
 import time
 
 from repro.crypto.aes import AES
+from repro.crypto.bitsliced import (
+    _FRAMES,
+    ByteslicedCtr,
+    _ByteLayout,
+    _unslice,
+    _unslice_strided,
+)
 from repro.crypto.chacha import ChaCha20Poly1305
 from repro.crypto.gcm import (
     _AGGREGATE_BLOCKS,
@@ -42,6 +52,7 @@ from repro.crypto.gcm import (
     _digest_aggregate,
     _digest_h1,
     _GHash,
+    _shoup_table,
 )
 from repro.crypto.x25519 import (
     _build_comb_table,
@@ -57,6 +68,7 @@ __all__ = [
     "bench_primitives",
     "bench_small_records",
     "bench_short_lived",
+    "bench_fresh_key_phases",
     "bench_ghash",
     "bench_kex",
     "bench_chain",
@@ -125,7 +137,11 @@ def _legacy_ghash(ghash: _GHash, aad: bytes, ciphertext: bytes) -> int:
 
 def _legacy_gcm_seal(gcm: AESGCM, nonce: bytes, plaintext: bytes, aad: bytes) -> bytes:
     ciphertext = _legacy_keystream_xor(gcm._aes, nonce, plaintext, 2)
-    s = _legacy_ghash(gcm._ghash, aad, ciphertext)
+    ghash = gcm._ghash
+    if ghash is None:
+        # A fresh context builds GHASH on its first seal or open.
+        ghash = _GHash(int.from_bytes(gcm._aes.encrypt_block(bytes(16)), "big"))
+    s = _legacy_ghash(ghash, aad, ciphertext)
     j0 = gcm._aes.encrypt_block(nonce + (1).to_bytes(4, "big"))
     return ciphertext + (s ^ int.from_bytes(j0, "big")).to_bytes(16, "big")
 
@@ -323,6 +339,65 @@ def bench_short_lived(
         }
         for name, key_length, size in legs
     ]
+
+
+def bench_fresh_key_phases(repeats: int = 5, calls: int = 200) -> dict:
+    """Microseconds per phase of a fresh AES-GCM key, best of ``repeats``.
+
+    Per suite: the context alone (the key schedule), then the parts of
+    its first seal or open: the byte-sliced engine's set-up, the round
+    keys of each narrow layout, Shoup's table, and a warm pass of 1..4
+    keystream blocks without and with the zero block in one more lane,
+    against one scalar block for H.  ``unslice`` compares the gather and
+    the strided copies per lane count.
+    """
+    nonce = b"\x00" * 11 + b"\x01"
+
+    def per_call(fn) -> float:
+        def many():
+            for _ in range(calls):
+                fn()
+        return round(_time_per_call(many, repeats) / calls * 1e6, 2)
+
+    suites = []
+    for name, key_length in (("aes-128-gcm", 16), ("aes-256-gcm", 32)):
+        key = bytes(range(key_length))
+        aes = AES(key)
+        engine = ByteslicedCtr(aes._round_keys, aes._rounds)
+        passes = []
+        for nblocks in (1, 2, 3, 4):
+            engine.keystream_and_zero(nonce, 1, nblocks)
+            engine.keystream(nonce, 1, nblocks)
+            passes.append({
+                "blocks": nblocks,
+                "pass_us": per_call(lambda: engine.keystream(nonce, 1, nblocks)),
+                "pass_with_h_us": per_call(
+                    lambda: engine.keystream_and_zero(nonce, 1, nblocks)),
+            })
+        h = int.from_bytes(aes.encrypt_block(bytes(16)), "big")
+        suites.append({
+            "suite": name,
+            "context_us": per_call(lambda: AESGCM(key)),
+            "engine_setup_us": per_call(
+                lambda: ByteslicedCtr(aes._round_keys, aes._rounds)),
+            "round_keys_us": {
+                str(lanes): per_call(
+                    lambda layout=_ByteLayout(lanes): engine._build_round_keys(layout))
+                for lanes in (1, 2, 4, 8)},
+            "shoup_table_us": per_call(lambda: _shoup_table(h)),
+            "scalar_h_us": per_call(lambda: aes.encrypt_block(bytes(16))),
+            "passes": passes,
+        })
+    unslice = []
+    for lanes in (1, 2, 4, 8):
+        raw = bytes(range(16 * lanes))
+        unslice.append({
+            "lanes": lanes,
+            "gather_us": per_call(lambda: _unslice(raw, lanes, 2)),
+            "strided_us": per_call(
+                lambda: _unslice_strided(raw, lanes, _FRAMES[2])),
+        })
+    return {"suites": suites, "unslice": unslice}
 
 
 def bench_ghash(
@@ -699,6 +774,7 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         primitives = bench_primitives(repeats=3, legacy_repeats=1)
         small = bench_small_records(repeats=3, legacy_repeats=1)
         short_lived = bench_short_lived(repeats=2)
+        phases = bench_fresh_key_phases(repeats=2, calls=50)
         ghash = bench_ghash(repeats=2, flights=300, chain_repeats=1)
         kex = bench_kex(repeats=2)
         chain = bench_chain(flights=4, workers=workers)
@@ -706,6 +782,7 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         primitives = bench_primitives()
         small = bench_small_records()
         short_lived = bench_short_lived()
+        phases = bench_fresh_key_phases()
         ghash = bench_ghash()
         kex = bench_kex()
         chain = bench_chain(workers=workers)
@@ -718,6 +795,7 @@ def run(git: str, quick: bool = False, workers: int | None = None) -> dict:
         "primitives": primitives,
         "small_records": small,
         "short_lived": short_lived,
+        "fresh_key_phases": phases,
         "ghash": ghash,
         "kex": kex,
         "chain": chain,

@@ -60,6 +60,8 @@ def _build_sbox() -> list[int]:
 
 
 _SBOX = _build_sbox()
+# The S-box as a ``bytes.translate`` table: SubBytes of a whole byte string.
+_SBOX_BYTES = bytes(_SBOX)
 
 # T-tables: _T0[x] packs the MixColumns contribution of S-box output S at
 # column position 0 as a big-endian 32-bit word (2S, S, S, 3S).
@@ -102,37 +104,31 @@ class AES:
         if len(key) not in (16, 24, 32):
             raise CryptoError(f"invalid AES key length: {len(key)}")
         self._round_keys = self._expand_key(key)
-        self._rounds = {16: 10, 24: 12, 32: 14}[len(key)]
+        self._rounds = len(key) // 4 + 6
         self._bitsliced = None
         self._bytesliced = None
 
     @staticmethod
-    def _expand_key(key: bytes) -> list[int]:
-        """FIPS 197 key schedule; returns round keys as 32-bit words."""
+    def _expand_key(key: bytes) -> tuple[int, ...]:
+        """FIPS 197 key schedule; returns round keys as 32-bit words.
+
+        SubWord is one ``bytes.translate`` of the word's four bytes, and
+        RotWord rotates the substituted word (the two commute).  The
+        words are a tuple, which the cycle collector stops tracking.
+        """
         nk = len(key) // 4
-        rounds = {4: 10, 6: 12, 8: 14}[nk]
-        words = [int.from_bytes(key[4 * i : 4 * i + 4], "big") for i in range(nk)]
-        sbox = _SBOX
-        for i in range(nk, 4 * (rounds + 1)):
+        words = list(struct.unpack(f">{nk}I", key))
+        sbox = _SBOX_BYTES
+        from_bytes = int.from_bytes
+        for i in range(nk, 4 * (nk + 7)):
             temp = words[i - 1]
             if i % nk == 0:
-                temp = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF  # RotWord
-                temp = (
-                    (sbox[(temp >> 24) & 0xFF] << 24)
-                    | (sbox[(temp >> 16) & 0xFF] << 16)
-                    | (sbox[(temp >> 8) & 0xFF] << 8)
-                    | sbox[temp & 0xFF]
-                )
-                temp ^= _RCON[i // nk - 1] << 24
+                temp = from_bytes(temp.to_bytes(4, "big").translate(sbox), "big")
+                temp = ((temp << 8) & 0xFFFFFFFF | temp >> 24) ^ _RCON[i // nk - 1] << 24
             elif nk > 6 and i % nk == 4:
-                temp = (
-                    (sbox[(temp >> 24) & 0xFF] << 24)
-                    | (sbox[(temp >> 16) & 0xFF] << 16)
-                    | (sbox[(temp >> 8) & 0xFF] << 8)
-                    | sbox[temp & 0xFF]
-                )
+                temp = from_bytes(temp.to_bytes(4, "big").translate(sbox), "big")
             words.append(words[i - nk] ^ temp)
-        return words
+        return tuple(words)
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt one 16-byte block."""
@@ -161,14 +157,35 @@ class AES:
 
                 engine = BitslicedCtr(self._round_keys, self._rounds)
                 self._bitsliced = engine
-        else:
-            engine = self._bytesliced
-            if engine is None:
-                from repro.crypto.bitsliced import ByteslicedCtr
+            return engine.keystream(prefix, initial_counter, nblocks)
+        return self._byteslice_engine().keystream(prefix, initial_counter, nblocks)
 
-                engine = ByteslicedCtr(self._round_keys, self._rounds)
-                self._bytesliced = engine
-        return engine.keystream(prefix, initial_counter, nblocks)
+    def ctr_keystream_and_zero(self, prefix: bytes, initial_counter: int,
+                               nblocks: int) -> tuple[bytes, bytes]:
+        """:meth:`ctr_keystream` and ``E_K(0^128)``, in one pass if it can.
+
+        Below ``_BITSLICE_THRESHOLD`` blocks the zero block rides in lane
+        ``nblocks`` of the byte-sliced pass: a spare lane of the padded
+        layout, or the first of the next one.  A longer request keeps a
+        separate scalar block for it.
+        """
+        if len(prefix) != 12:
+            raise CryptoError("CTR prefix must be 12 bytes")
+        if nblocks >= self._BITSLICE_THRESHOLD:
+            return (self.ctr_keystream(prefix, initial_counter, nblocks),
+                    self.encrypt_block(bytes(16)))
+        return self._byteslice_engine().keystream_and_zero(
+            prefix, initial_counter, nblocks)
+
+    def _byteslice_engine(self):
+        """The key's byte-sliced engine, built on first use."""
+        engine = self._bytesliced
+        if engine is None:
+            from repro.crypto.bitsliced import ByteslicedCtr
+
+            engine = ByteslicedCtr(self._round_keys, self._rounds)
+            self._bytesliced = engine
+        return engine
 
     def _ctr_scalar(self, prefix: bytes, initial_counter: int,
                     nblocks: int) -> bytes:

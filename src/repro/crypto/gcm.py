@@ -7,6 +7,13 @@ a key has hashed enough ciphertext to pay for them, per-byte-position
 tables of H take over: 16 lookups per block and no per-block reduction.
 Records of 512 blocks and more also get the tables of H^2..H^4, built on
 the key's first such record, and hash four blocks per 64-lookup step.
+
+A key's hash key H = E_K(0^128) comes from one more lane of its first
+keystream pass (see :meth:`AES.ctr_keystream_and_zero`), so GHASH and its
+tables are built on the key's first seal or open.  Every per-key table is
+a tuple of ints, and a set of tables a tuple of them: the cycle collector
+stops tracking both, so full collections do not walk the tables of the
+keys a process keeps.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ def _build_reduction_table() -> list[int]:
 _R8 = _build_reduction_table()
 
 
-def _shoup_table(h: int) -> list[int]:
+def _shoup_table(h: int) -> tuple[int, ...]:
     """Shoup's table: entry ``b`` is H times byte value ``b`` at the top byte.
 
     Byte bit ``0x80 >> i`` stands for x^i, so the basis entries are
@@ -55,7 +62,7 @@ def _shoup_table(h: int) -> list[int]:
     table = [0]
     for value in reversed(basis):
         table += [t ^ value for t in table]
-    return table
+    return tuple(table)
 
 
 def _compile_digest_scalar():
@@ -158,7 +165,7 @@ _AGGREGATE_BLOCKS = 512
 _AGGREGATE_MIN_BYTES = 16 * (_AGGREGATE_BLOCKS - 1) + 1
 
 
-def _position_tables(top: list[int]) -> list[list[int]]:
+def _position_tables(top: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The 16 per-byte-position tables of one power of H.
 
     ``top`` is Shoup's table of H^k, the products at byte position 0 (the
@@ -171,8 +178,8 @@ def _position_tables(top: list[int]) -> list[list[int]]:
     r8 = _R8
     cols = [top]
     for _ in range(15):
-        cols.append([(v >> 8) ^ r8[v & 0xFF] for v in cols[-1]])
-    return cols
+        cols.append(tuple([(v >> 8) ^ r8[v & 0xFF] for v in cols[-1]]))
+    return tuple(cols)
 
 
 class _GHash:
@@ -203,7 +210,7 @@ class _GHash:
             w = (w >> 8) ^ r8[w & 0xFF] ^ table[byte]
         return w
 
-    def _build_aggregate(self) -> list[list[int]]:
+    def _build_aggregate(self) -> tuple[tuple[int, ...], ...]:
         """The 64 tables of H^4, H^3, H^2, H^1 in that order.
 
         They are one aggregated Horner step over four blocks; the last
@@ -214,8 +221,8 @@ class _GHash:
         for _ in range(3):
             h_power = self._mul_h(h_power)
             powers.append(_position_tables(_shoup_table(h_power)))
-        tables = self._aggregate_tables = [
-            col for cols in reversed(powers) for col in cols]
+        tables = self._aggregate_tables = tuple(
+            col for cols in reversed(powers) for col in cols)
         return tables
 
     def digest(self, aad: bytes, ciphertext: bytes) -> int:
@@ -246,16 +253,22 @@ class AESGCM:
 
     def __init__(self, key: bytes) -> None:
         self._aes = AES(key)
-        h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        self._ghash = _GHash(h)
+        # Built with H on the first seal or open (see ``_keystream``).
+        self._ghash: _GHash | None = None
 
     def _keystream(self, nonce: bytes, n: int) -> tuple[int, int]:
         """``E_K(J0)`` and the keystream for ``n`` bytes, as ints.
 
         J0 (counter 1) precedes the data counters (2, 3, ...), so one
-        keystream call covers the tag mask and the data.
+        keystream call covers the tag mask and the data.  The key's first
+        call also encrypts the zero block for H and builds GHASH.
         """
-        keystream = self._aes.ctr_keystream(nonce, 1, (n + 15) // 16 + 1)
+        nblocks = (n + 15) // 16 + 1
+        if self._ghash is None:
+            keystream, zero = self._aes.ctr_keystream_and_zero(nonce, 1, nblocks)
+            self._ghash = _GHash(int.from_bytes(zero, "big"))
+        else:
+            keystream = self._aes.ctr_keystream(nonce, 1, nblocks)
         return (int.from_bytes(keystream[:16], "big"),
                 int.from_bytes(keystream[16 : 16 + n], "big"))
 

@@ -22,6 +22,7 @@ from time import perf_counter
 from repro import obs
 from repro.errors import ProtocolError
 from repro.wire.records import (
+    CONTENT_TYPES,
     ContentType,
     MAX_FRAGMENT,
     Record,
@@ -118,10 +119,8 @@ class RecordPlane:
         key = (family, content_type)
         cached = handles.get(key)
         if cached is None:
-            try:
-                label = ContentType(content_type).name.lower()
-            except ValueError:
-                label = str(content_type)
+            known = CONTENT_TYPES.get(content_type)
+            label = str(content_type) if known is None else known.name.lower()
             metrics = self._obs_plane.metrics
             cached = handles[key] = (
                 metrics.counter(f"records_{family}", party=self.party, type=label),

@@ -101,22 +101,32 @@ class Histogram:
 class MetricsRegistry:
     """Holds every metric family; hands out live instruments by labels."""
 
-    __slots__ = ("_counters", "_gauges", "_histograms")
+    __slots__ = ("_counters", "_gauges", "_histograms", "_keys")
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], Counter] = {}
         self._gauges: dict[tuple[str, LabelKey], Gauge] = {}
         self._histograms: dict[tuple[str, LabelKey], Histogram] = {}
+        # ``(name, *labels as passed)`` -> ``(name, sorted labels)``, so a
+        # repeated lookup hashes its labels instead of sorting them.
+        self._keys: dict[tuple, tuple[str, LabelKey]] = {}
+
+    def _key(self, name: str, labels: dict[str, str]) -> tuple[str, LabelKey]:
+        passed = (name, *labels.items())
+        key = self._keys.get(passed)
+        if key is None:
+            key = self._keys[passed] = (name, _label_key(labels))
+        return key
 
     def counter(self, name: str, **labels: str) -> Counter:
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
         return instrument
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge()
@@ -124,7 +134,7 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds: tuple[float, ...] = TIME_BUCKETS,
                   **labels: str) -> Histogram:
-        key = (name, _label_key(labels))
+        key = self._key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = self._histograms[key] = Histogram(bounds)

@@ -231,6 +231,18 @@ class TestCryptoBenchGate:
         for leg in legs:
             assert leg["setup_and_first_seal_us"] > 0 and leg["second_seal_us"] > 0
 
+    def test_fresh_key_phases_leg_shape(self):
+        from repro.bench.crypto import bench_fresh_key_phases
+
+        report = bench_fresh_key_phases(repeats=1, calls=2)
+        assert [s["suite"] for s in report["suites"]] == [
+            "aes-128-gcm", "aes-256-gcm"]
+        for suite in report["suites"]:
+            assert set(suite["round_keys_us"]) == {"1", "2", "4", "8"}
+            assert [p["blocks"] for p in suite["passes"]] == [1, 2, 3, 4]
+            assert suite["context_us"] > 0 and suite["shoup_table_us"] > 0
+        assert [row["lanes"] for row in report["unslice"]] == [1, 2, 4, 8]
+
     def test_ghash_leg_shape_and_restores_the_cutover(self):
         from repro.bench.crypto import bench_ghash
         from repro.crypto import gcm

@@ -44,6 +44,18 @@ class TestPrf:
         assert p_hash(secret, seed, length, hash_name) == expected[:length]
         assert prf(secret, b"", seed, length, hash_name) == expected[:length]
 
+    @settings(max_examples=60, deadline=None)
+    @given(secret=st.binary(max_size=200), seed=st.binary(max_size=80),
+           hash_name=st.sampled_from(["sha256", "sha384"]))
+    def test_p_hash_any_secret_length_matches_hmac(self, secret, seed, hash_name):
+        # The keyed hash states: empty secrets, secrets shorter than the
+        # hash's block size (zero-padded) and longer ones (hashed first).
+        expected, a = b"", seed
+        while len(expected) < 100:
+            a = hmac.digest(secret, a, hash_name)
+            expected += hmac.digest(secret, a + seed, hash_name)
+        assert p_hash(secret, seed, 100, hash_name) == expected[:100]
+
 
 class TestHkdf:
     def test_matches_oracle(self, rng):
@@ -55,6 +67,17 @@ class TestHkdf:
                 algorithm=hashes.SHA256(), length=42, salt=salt, info=info
             )
             assert hkdf(ikm, salt=salt, info=info, length=42) == oracle.derive(ikm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(prk=st.binary(max_size=200), info=st.binary(max_size=40),
+           length=st.integers(1, 100))
+    def test_expand_any_prk_length_matches_hmac(self, prk, info, length):
+        expected, block, counter = b"", b"", 1
+        while len(expected) < length:
+            block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
+            expected += block
+            counter += 1
+        assert hkdf_expand(prk, info, length) == expected[:length]
 
     def test_empty_salt_matches_oracle(self, rng):
         ikm = rng.random_bytes(32)
