@@ -417,7 +417,7 @@ def _gather(n: int, frame: list[int]) -> itemgetter:
 
 
 # Up to this many lanes a pass unslices through one precomputed gather,
-# 0.7-2.9 us against 6-7 us for the 16 strided copies.
+# which takes a third to a tenth of the time of the 16 strided copies.
 _GATHER_LANES = 8
 _GATHERS = [{n: _gather(n, frame) for n in (1, 2, 4, 8)} for frame in _FRAMES]
 
