@@ -59,6 +59,7 @@ __all__ = [
     "UNAUTHENTICATED_CASES",
     "FuzzReport",
     "build_parties",
+    "corpus_digest",
     "run_case",
     "run_corpus",
     "smoke_corpus",
@@ -488,6 +489,14 @@ def run_case(name: str, case: FuzzCase) -> FuzzReport:
             f"{who}:{type(event).__name__}" for who, event in run.events
         ),
     )
+
+
+def corpus_digest(reports) -> str:
+    """One sha256 over every report's transcript digest, in corpus order."""
+    h = hashlib.sha256()
+    for report in reports:
+        h.update(report.digest.encode())
+    return h.hexdigest()
 
 
 def run_corpus(

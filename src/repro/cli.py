@@ -144,7 +144,7 @@ def _cmd_sgx(args) -> None:
 
 
 def _cmd_fuzz(args) -> None:
-    from repro.bench.fuzzing import CASE_NAMES, run_case, smoke_corpus
+    from repro.bench.fuzzing import CASE_NAMES, corpus_digest, run_case, smoke_corpus
     from repro.netsim.fuzz import MUTATION_KINDS, FuzzCase
 
     if args.replay:
@@ -171,6 +171,7 @@ def _cmd_fuzz(args) -> None:
     reports = smoke_corpus()
     failures = [r for r in reports if not r.ok]
     print(f"{len(reports) - len(failures)}/{len(reports)} cases ok")
+    print(f"corpus digest {corpus_digest(reports)[:16]}")
     if failures:
         print("failing (seed, mutation_index) pairs, replay with "
               "`python -m repro fuzz --replay NAME --seed SEED --index N`:")
