@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 
 from repro.bench.fuzzing import build_parties
+from repro.io import DEFAULT_PUMP_ROUNDS
 from repro.tls.events import ApplicationData
 
 __all__ = ["COMPARE_CASES", "ChainMeasurement", "measure_case", "measure_matrix"]
@@ -46,8 +47,6 @@ COMPARE_CASES = (
     "mdtls_middlebox",
 )
 
-_MAX_ROUNDS = 60
-
 
 @dataclass(frozen=True)
 class ChainMeasurement:
@@ -59,56 +58,10 @@ class ChainMeasurement:
     throughput_bytes_per_second: float
 
 
-def _pump_round(parties, sink: list) -> tuple[bool, int]:
-    """One full c2s + s2c pass; returns (progressed, endpoint_flights).
-
-    Only endpoint-originated drains count as flights — middlebox
-    forwarding continues the same flight rather than starting one.
-    """
-    left, middles, right = parties.left, parties.middles, parties.right
-    progressed = False
-    flights = 0
-    data = left.data_to_send()
-    if data:
-        progressed, flights = True, flights + 1
-        if middles:
-            middles[0].receive_down(data)
-        else:
-            sink.extend(right.receive_bytes(data))
-    for index, middle in enumerate(middles):
-        data = middle.data_to_send_up()
-        if data:
-            progressed = True
-            if index + 1 < len(middles):
-                middles[index + 1].receive_down(data)
-            else:
-                sink.extend(right.receive_bytes(data))
-    data = right.data_to_send()
-    if data:
-        progressed, flights = True, flights + 1
-        if middles:
-            middles[-1].receive_up(data)
-        else:
-            left.receive_bytes(data)
-    for index in range(len(middles) - 1, -1, -1):
-        data = middles[index].data_to_send_down()
-        if data:
-            progressed = True
-            if index > 0:
-                middles[index - 1].receive_up(data)
-            else:
-                left.receive_bytes(data)
-    return progressed, flights
-
-
-def _established(parties) -> bool:
-    if not parties.needs_handshake:
-        return True
-    return all(
-        getattr(party, "established", False)
-        or getattr(party, "handshake_complete", False)
-        for party in (parties.left, parties.right)
-    )
+def _raise_errors(name: str, chain) -> None:
+    if chain.errors:
+        party, exc = chain.errors[0]
+        raise RuntimeError(f"{name}: {party} raised {exc!r}") from exc
 
 
 def measure_case(
@@ -119,38 +72,42 @@ def measure_case(
 ) -> ChainMeasurement:
     """Handshake CPU, flight count, and c2s throughput for one case."""
     parties = build_parties(name, seed)
-    sink: list = []
+    endpoint_hops = ((0, "c2s"), (len(parties.middles), "s2c"))
     flights = 0
+
+    def count_flights(hop: int, direction: str, data: bytes) -> list:
+        # Only endpoint-originated drains count: middlebox forwarding
+        # continues the same flight rather than starting one.
+        nonlocal flights
+        if (hop, direction) in endpoint_hops:
+            flights += 1
+        return [data]
+
+    chain = parties.chain(count_flights)
     handshake_start = time.process_time()
-    parties.left.start()
-    for middle in parties.middles:
-        middle.start()
-    parties.right.start()
-    for _ in range(_MAX_ROUNDS):
-        progressed, new_flights = _pump_round(parties, sink)
-        flights += new_flights
-        if not progressed:
-            break
-        if _established(parties):
+    chain.start()
+    for _ in range(DEFAULT_PUMP_ROUNDS):
+        if not chain.step() or parties.established():
             break
     handshake_cpu = time.process_time() - handshake_start
-    if not _established(parties):
+    handshake_flights = flights
+    _raise_errors(name, chain)
+    if not parties.established():
         raise RuntimeError(f"{name} failed to establish adversary-free")
     if parties.after_handshake is not None:
-        parties.after_handshake()
+        chain.guard("harness", parties.after_handshake)
 
-    sink.clear()
+    handshake_events = len(chain.events)
     payload = b"\xa5" * payload_bytes
     data_start = time.process_time()
     for _ in range(batches):
-        parties.left.send_application_data(payload)
-        for _ in range(_MAX_ROUNDS):
-            progressed, _ = _pump_round(parties, sink)
-            if not progressed:
-                break
+        chain.send("left", payload)
     data_cpu = time.process_time() - data_start
+    _raise_errors(name, chain)
     delivered = sum(
-        len(event.data) for event in sink if isinstance(event, ApplicationData)
+        len(event.data)
+        for party, event in chain.events[handshake_events:]
+        if party == "right" and isinstance(event, ApplicationData)
     )
     if delivered != batches * payload_bytes:
         raise RuntimeError(
@@ -159,7 +116,7 @@ def measure_case(
     return ChainMeasurement(
         case=name,
         handshake_cpu_seconds=handshake_cpu,
-        flights=flights,
+        flights=handshake_flights,
         throughput_bytes_per_second=delivered / data_cpu if data_cpu else 0.0,
     )
 

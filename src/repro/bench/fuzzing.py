@@ -49,6 +49,7 @@ from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import ReproError
+from repro.io import DEFAULT_PUMP_ROUNDS, HopChain
 from repro.netsim.fuzz import MUTATION_KINDS, AppliedMutation, FuzzCase
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
@@ -60,12 +61,13 @@ __all__ = [
     "FuzzReport",
     "build_parties",
     "corpus_digest",
+    "leaks",
+    "one_hop_tap",
     "run_case",
     "run_corpus",
     "smoke_corpus",
 ]
 
-_PUMP_ROUNDS = 60
 _C2S_PAYLOADS = (b"fuzz-ping-one", b"fuzz-ping-two")
 _S2C_PAYLOADS = (b"fuzz-pong",)
 
@@ -85,15 +87,87 @@ class _Parties:
     after_handshake: object = None  # callable, e.g. shared-key installation
     needs_handshake: bool = True
 
+    def chain(self, tap=None) -> HopChain:
+        return HopChain(self.left, self.middles, self.right, tap)
+
+    def established(self) -> bool:
+        """Both endpoints finished the handshake (trivially, if none runs)."""
+        return not self.needs_handshake or all(
+            getattr(party, "established", False)
+            or getattr(party, "handshake_complete", False)
+            for party in (self.left, self.right)
+        )
+
+    def converse(self, chain: HopChain, c2s, s2c) -> tuple[bool, bool]:
+        """Handshake, exchange the payloads if established, close both ends.
+
+        Returns ``(established, quiesced)``: establishment is sampled before
+        the close (closing wipes it), and ``quiesced`` is whether every pump
+        came to rest within :data:`~repro.io.DEFAULT_PUMP_ROUNDS`.
+        """
+        chain.start()
+        quiesced = chain.pump()
+        if self.after_handshake is not None:
+            chain.guard("harness", self.after_handshake)
+        established = self.established()
+        if established:
+            for payload in c2s:
+                quiesced &= chain.send("left", payload)
+            for payload in s2c:
+                quiesced &= chain.send("right", payload)
+        quiesced &= chain.close("left")
+        quiesced &= chain.close("right")
+        return established, quiesced
+
+
+def one_hop_tap(hop: int, direction: str, process):
+    """A :class:`~repro.io.HopChain` tap: ``process(data)`` on one hop only."""
+
+    def tap(at_hop: int, at_direction: str, data: bytes) -> list:
+        if (at_hop, at_direction) == (hop, direction):
+            return [process(data)]
+        return [data]
+
+    return tap
+
+
+def leaks(chain: HopChain) -> list[str]:
+    """The chain's errors that are crashes, not typed refusals.
+
+    The sans-IO contract prefers alerts over raises, but a raised
+    :class:`~repro.errors.ReproError` is still a typed refusal; anything
+    else escaping a party is a finding.
+    """
+    return [
+        f"{name} leaked {type(exc).__name__}: {exc}"
+        for name, exc in chain.errors
+        if not isinstance(exc, ReproError)
+    ]
+
 
 # One PKI per seed (RSA generation dominates otherwise); the engine DRBGs
 # are derived independently so caching cannot perturb replay determinism.
+# The CA numbers certificates in issue order, so every leaf a case can use
+# is issued when the seed's PKI is built, in one fixed order; otherwise a
+# case's bytes would depend on which cases ran earlier in the process. The
+# order (server, mbox, split TLS's fabricated server leaf, client) is the
+# one a fresh run of CASE_NAMES in order issues them in.
 _PKI_CACHE: dict[bytes, Pki] = {}
+_FAB_CACHE: dict[bytes, object] = {}
 
 
 def _pki(seed: bytes) -> Pki:
     if seed not in _PKI_CACHE:
-        _PKI_CACHE[seed] = Pki(rng=HmacDrbg(seed, personalization=b"fuzz-pki"))
+        pki = Pki(rng=HmacDrbg(seed, personalization=b"fuzz-pki"))
+        pki.credential("server")
+        pki.credential("mbox")
+        _FAB_CACHE[seed] = pki.ca.issue_credential(
+            "server",
+            rng=HmacDrbg(seed, personalization=b"fuzz-split-leaf"),
+            key_bits=pki.key_bits,
+        )
+        pki.credential("client")
+        _PKI_CACHE[seed] = pki
     return _PKI_CACHE[seed]
 
 
@@ -171,28 +245,13 @@ def _build_mbtls_middlebox(pki, rng, seed) -> _Parties:
     return _Parties(left=client, middles=[middlebox], right=server)
 
 
-# The interception CA's serial counter advances on every issue, so the
-# fabricated leaf is cached per seed too or replays would differ.
-_FAB_CACHE: dict[bytes, object] = {}
-
-
-def _fabricated_credential(seed: bytes, pki: Pki):
-    if seed not in _FAB_CACHE:
-        _FAB_CACHE[seed] = pki.ca.issue_credential(
-            "server",
-            rng=HmacDrbg(seed, personalization=b"fuzz-split-leaf"),
-            key_bits=pki.key_bits,
-        )
-    return _FAB_CACHE[seed]
-
-
 def _build_split_tls(pki, rng, seed) -> _Parties:
     middlebox = SplitTLSMiddlebox(
         pki.ca,
         "server",
         rng.fork(b"split"),
         upstream_trust=pki.trust,
-        fabricated_credential=_fabricated_credential(seed, pki),
+        fabricated_credential=_FAB_CACHE[seed],
     )
     return _Parties(
         left=TLSClientEngine(_tls_config(rng, pki, b"cli", client=True)),
@@ -326,167 +385,39 @@ class FuzzReport:
         return f"{self.name} {self.case.describe()} kind={self.kind}: {status}"
 
 
-class _Run:
-    """One mutated session: the pump, the ledger, and the verdict."""
-
-    def __init__(self, name: str, parties: _Parties, mutator) -> None:
-        self.name = name
-        self.parties = parties
-        self.mutator = mutator
-        self.failures: list[str] = []
-        self.events: list[tuple[str, object]] = []
-        self.hash = hashlib.sha256()
-
-    # ------------------------------------------------------------- plumbing
-
-    def _guard(self, party_name: str, fn, *args):
-        """Run one party step; a non-ReproError escaping it is a finding."""
-        try:
-            return fn(*args)
-        except ReproError:
-            # The sans-IO contract prefers alerts over raises, but a raised
-            # ReproError is still a *typed* refusal, not a crash.
-            return []
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            self.failures.append(
-                f"{party_name} leaked {type(exc).__name__}: {exc}"
-            )
-            return []
-
-    def _record(self, party_name: str, events) -> None:
-        for event in events or []:
-            self.events.append((party_name, event))
-            self.hash.update(party_name.encode() + type(event).__name__.encode())
-
-    def _deliver(self, tag: bytes, data: bytes) -> None:
-        self.hash.update(tag + len(data).to_bytes(4, "big") + data)
-
-    def pump(self) -> None:
-        """pump_chain with the mutator tapped into the c2s first hop."""
-        left, middles, right = (
-            self.parties.left,
-            self.parties.middles,
-            self.parties.right,
-        )
-        for _ in range(_PUMP_ROUNDS):
-            progressed = False
-            data = left.data_to_send()
-            if data:
-                progressed = True
-                data = self.mutator.process_chunk(data) or b""
-            if data:
-                self._deliver(b"c>", data)
-                target = middles[0].receive_down if middles else right.receive_bytes
-                target_name = "middle0" if middles else "right"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index, middle in enumerate(middles):
-                data = middle.data_to_send_up()
-                if data:
-                    progressed = True
-                    self._deliver(b"m>", data)
-                    if index + 1 < len(middles):
-                        nxt, nxt_name = (
-                            middles[index + 1].receive_down,
-                            f"middle{index + 1}",
-                        )
-                    else:
-                        nxt, nxt_name = right.receive_bytes, "right"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            data = right.data_to_send()
-            if data:
-                progressed = True
-                self._deliver(b"s>", data)
-                target = middles[-1].receive_up if middles else left.receive_bytes
-                target_name = f"middle{len(middles) - 1}" if middles else "left"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index in range(len(middles) - 1, -1, -1):
-                data = middles[index].data_to_send_down()
-                if data:
-                    progressed = True
-                    self._deliver(b"m<", data)
-                    if index > 0:
-                        nxt, nxt_name = middles[index - 1].receive_up, f"middle{index - 1}"
-                    else:
-                        nxt, nxt_name = left.receive_bytes, "left"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            if not progressed:
-                return
-        self.failures.append(f"pump did not quiesce within {_PUMP_ROUNDS} rounds")
-
-    def send(self, party_name: str, party, data: bytes) -> None:
-        if getattr(party, "closed", False):
-            return
-        self._guard(party_name, party.send_application_data, data)
-        self.pump()
-
-    def close(self, party_name: str, party) -> None:
-        self._guard(party_name, party.close)
-        self.pump()
-
-    # -------------------------------------------------------------- verdict
-
-    def check_invariants(self) -> None:
-        if self.name not in UNAUTHENTICATED_CASES:
-            allowed = set(_C2S_PAYLOADS) | set(_S2C_PAYLOADS)
-            for party_name, event in self.events:
-                if party_name not in ("left", "right"):
-                    continue
-                if isinstance(event, ApplicationData) and event.data not in allowed:
-                    self.failures.append(
-                        f"{party_name} delivered tampered plaintext "
-                        f"{event.data[:32]!r}"
-                    )
-        for party_name, party in (
-            ("left", self.parties.left),
-            ("right", self.parties.right),
-        ):
-            if not getattr(party, "closed", False):
-                self.failures.append(f"{party_name} left half-open")
-
-    def digest(self) -> str:
-        self.hash.update(b"|".join(f.encode() for f in self.failures))
-        return self.hash.hexdigest()
-
-
 def run_case(name: str, case: FuzzCase) -> FuzzReport:
     """Run one implementation through one mutated session."""
     parties = build_parties(name, case.seed)
     mutator = case.mutator()
-    run = _Run(name, parties, mutator)
-
-    for party_name, party in (
-        ("left", parties.left),
-        *((f"middle{i}", m) for i, m in enumerate(parties.middles)),
-        ("right", parties.right),
-    ):
-        run._guard(party_name, party.start)
-    run.pump()
-    if parties.after_handshake is not None:
-        run._guard("harness", parties.after_handshake)
-
-    established = (
-        not parties.needs_handshake
-        or getattr(parties.left, "established", False)
-        or getattr(parties.left, "handshake_complete", False)
-    )
-    if established:
-        for payload in _C2S_PAYLOADS:
-            run.send("left", parties.left, payload)
-        for payload in _S2C_PAYLOADS:
-            run.send("right", parties.right, payload)
-    run.close("left", parties.left)
-    run.close("right", parties.right)
-    run.check_invariants()
-
+    chain = parties.chain(one_hop_tap(0, "c2s", mutator.process_chunk))
+    _, quiesced = parties.converse(chain, _C2S_PAYLOADS, _S2C_PAYLOADS)
+    failures = leaks(chain)
+    if not quiesced:
+        failures.append(f"pump did not quiesce within {DEFAULT_PUMP_ROUNDS} rounds")
+    if name not in UNAUTHENTICATED_CASES:
+        allowed = set(_C2S_PAYLOADS) | set(_S2C_PAYLOADS)
+        failures += [
+            f"{party_name} delivered tampered plaintext {event.data[:32]!r}"
+            for party_name, event in chain.events
+            if party_name in ("left", "right")
+            and isinstance(event, ApplicationData)
+            and event.data not in allowed
+        ]
+    failures += [
+        f"{party_name} left half-open"
+        for party_name in ("left", "right")
+        if not chain.party(party_name).closed
+    ]
+    chain.hash.update(b"|".join(f.encode() for f in failures))
     return FuzzReport(
         name=name,
         case=case,
         kind=mutator.kind,
-        failures=tuple(run.failures),
-        digest=run.digest(),
+        failures=tuple(failures),
+        digest=chain.hash.hexdigest(),
         mutations=tuple(mutator.applied),
         events=tuple(
-            f"{who}:{type(event).__name__}" for who, event in run.events
+            f"{who}:{type(event).__name__}" for who, event in chain.events
         ),
     )
 

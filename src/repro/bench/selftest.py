@@ -2,7 +2,7 @@
 
 Drives the seeded :class:`~repro.netsim.downgrade.DowngradeAdversary`
 corpus against every :class:`repro.io.Connection` implementation the fuzz
-harness knows (the same ten ``tests/test_connection_contract.py`` pins) and
+harness knows (the same twelve ``tests/test_connection_contract.py`` pins) and
 scores each run against the paper's security properties P1–P7. The contract
 under test is the one Table 1 implies: an on-path downgrade attempt must be
 
@@ -30,9 +30,10 @@ from repro.bench.fuzzing import (
     CASE_NAMES,
     UNAUTHENTICATED_CASES,
     build_parties,
+    leaks,
+    one_hop_tap,
 )
 from repro.core.config import MiddleboxRejected, SessionEstablished
-from repro.errors import ReproError
 from repro.netsim.downgrade import (
     ATTACK_KINDS,
     AppliedAttack,
@@ -49,7 +50,6 @@ __all__ = [
     "run_selftest",
 ]
 
-_PUMP_ROUNDS = 80
 _C2S_PAYLOADS = (b"selftest-ping-one", b"selftest-ping-two")
 _S2C_PAYLOADS = (b"selftest-pong",)
 
@@ -81,12 +81,12 @@ _PROPERTY_KINDS = {
 #: everything else stripping is vacuous and P6 is not applicable.
 _MBTLS_IMPLS = frozenset({"mbtls", "mbtls_middlebox", "mdtls", "mdtls_middlebox"})
 
-#: Where each attack's adversary sits. ``(direction, edge)``: c2s/left is
-#: the hop leaving the client, c2s/right the hop entering the server, and
-#: symmetrically for s2c. Hello rewrites happen as the bytes leave the
-#: client; injection toward the server's announcement window happens on the
-#: last hop; secondary corruption happens on the hop entering the client,
-#: where the encapsulated ServerHello rides.
+#: Where each attack's adversary sits. ``(direction, edge)``: the left edge
+#: is hop 0 (the client's hop), the right edge hop n (the server's). Hello
+#: rewrites happen as the bytes leave the client; injection toward the
+#: server's announcement window happens on the last hop; secondary
+#: corruption happens on the hop entering the client, where the
+#: encapsulated ServerHello rides.
 _PLACEMENT = {
     "strip_support": ("c2s", "left"),
     "suite_delete": ("c2s", "left"),
@@ -278,152 +278,17 @@ def _party_suite(party) -> int | None:
     return getattr(suite, "code", None)
 
 
-def _party_established(party, needs_handshake: bool) -> bool:
-    if not needs_handshake:
-        return True
-    return bool(
-        getattr(party, "established", False)
-        or getattr(party, "handshake_complete", False)
-    )
-
-
-class _Run:
-    """One session pump with an adversary tapped into one hop."""
-
-    def __init__(self, name: str, parties, adversary, placement) -> None:
-        self.name = name
-        self.parties = parties
-        self.adversary = adversary  # None for the baseline run
-        self.placement = placement  # (direction, edge) or None
-        self.events: list[tuple[str, object]] = []
-        self.leaked: list[str] = []
-        self.quiesced = False
-        self.established = False  # sampled pre-close; CLOSED wipes it
-        self.hash = hashlib.sha256()
-        # Stamp alert-plane labels on the plain TLS engines so detection is
-        # origin-attributed across every implementation, not just mbTLS.
-        for party, label in ((parties.left, "client"), (parties.right, "server")):
-            if getattr(party, "origin_label", None) == "":
-                party.origin_label = label
-
-    def _guard(self, party_name: str, fn, *args):
-        try:
-            return fn(*args)
-        except ReproError:
-            return []
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            self.leaked.append(f"{party_name} leaked {type(exc).__name__}: {exc}")
-            return []
-
-    def _record(self, party_name: str, events) -> None:
-        for event in events or []:
-            self.events.append((party_name, event))
-            self.hash.update(party_name.encode() + type(event).__name__.encode())
-
-    def _mutate(self, direction: str, edge: str, data: bytes) -> bytes:
-        """Apply the adversary iff it sits on this (direction, edge) hop.
-
-        With no middleboxes each direction is a single hop, so the left and
-        right edges coincide; the canonical slots (c2s/left, s2c/right) then
-        stand in for both and the adversary still runs exactly once.
-        """
-        if self.adversary is None or not data:
-            return data
-        want_direction, want_edge = self.placement
-        if direction != want_direction:
-            return data
-        if not self.parties.middles:
-            if (direction, edge) not in (("c2s", "left"), ("s2c", "right")):
-                return data
-        elif edge != want_edge:
-            return data
-        return self.adversary.process_chunk(data) or b""
-
-    def pump(self) -> None:
-        left, middles, right = (
-            self.parties.left,
-            self.parties.middles,
-            self.parties.right,
-        )
-        for _ in range(_PUMP_ROUNDS):
-            progressed = False
-            data = left.data_to_send()
-            if data:
-                progressed = True
-                data = self._mutate("c2s", "left", data)
-            if data:
-                self.hash.update(b"c>" + len(data).to_bytes(4, "big") + data)
-                target = middles[0].receive_down if middles else right.receive_bytes
-                target_name = "middle0" if middles else "right"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index, middle in enumerate(middles):
-                data = middle.data_to_send_up()
-                if data:
-                    progressed = True
-                    if index == len(middles) - 1:
-                        data = self._mutate("c2s", "right", data)
-                if data:
-                    self.hash.update(b"m>" + len(data).to_bytes(4, "big") + data)
-                    if index + 1 < len(middles):
-                        nxt, nxt_name = (
-                            middles[index + 1].receive_down,
-                            f"middle{index + 1}",
-                        )
-                    else:
-                        nxt, nxt_name = right.receive_bytes, "right"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            data = right.data_to_send()
-            if data:
-                progressed = True
-                data = self._mutate("s2c", "right", data)
-            if data:
-                self.hash.update(b"s>" + len(data).to_bytes(4, "big") + data)
-                target = middles[-1].receive_up if middles else left.receive_bytes
-                target_name = f"middle{len(middles) - 1}" if middles else "left"
-                self._record(target_name, self._guard(target_name, target, data))
-            for index in range(len(middles) - 1, -1, -1):
-                data = middles[index].data_to_send_down()
-                if data:
-                    progressed = True
-                    if index == 0:
-                        data = self._mutate("s2c", "left", data)
-                if data:
-                    self.hash.update(b"m<" + len(data).to_bytes(4, "big") + data)
-                    if index > 0:
-                        nxt, nxt_name = (
-                            middles[index - 1].receive_up,
-                            f"middle{index - 1}",
-                        )
-                    else:
-                        nxt, nxt_name = left.receive_bytes, "left"
-                    self._record(nxt_name, self._guard(nxt_name, nxt, data))
-            if not progressed:
-                self.quiesced = True
-                return
-
-    def send(self, party_name: str, party, data: bytes) -> None:
-        if getattr(party, "closed", False):
-            return
-        self._guard(party_name, party.send_application_data, data)
-        self.pump()
-
-    def close(self, party_name: str, party) -> None:
-        self._guard(party_name, party.close)
-        self.pump()
-
-
-def _collect(run: _Run, plane) -> _Outcome:
-    parties = run.parties
+def _collect(name: str, parties, chain, established, quiesced, plane) -> _Outcome:
     allowed = set(_C2S_PAYLOADS) | set(_S2C_PAYLOADS)
     delivered = {"left": [], "right": []}
     tampered: list[bytes] = []
     rejected: list[int] = []
     joined: list[int] = []
     aborts: list[tuple[str, str, str]] = []
-    for party_name, event in run.events:
+    for party_name, event in chain.events:
         if isinstance(event, ApplicationData) and party_name in delivered:
             delivered[party_name].append(event.data)
-            if run.name not in UNAUTHENTICATED_CASES and event.data not in allowed:
+            if name not in UNAUTHENTICATED_CASES and event.data not in allowed:
                 tampered.append(event.data)
         elif isinstance(event, MiddleboxRejected):
             rejected.append(event.subchannel_id)
@@ -433,11 +298,7 @@ def _collect(run: _Run, plane) -> _Outcome:
             joined.extend(info.subchannel_id for info in event.middleboxes)
     # The endpoints' own abort ledgers catch detections whose ConnectionClosed
     # events a broken pump never surfaced.
-    for party_name, party in (
-        ("left", parties.left),
-        *((f"middle{i}", m) for i, m in enumerate(parties.middles)),
-        ("right", parties.right),
-    ):
+    for party_name, party in zip(chain.names, chain.parties):
         abort = getattr(party, "abort", None)
         if abort is not None and getattr(abort, "alert", "") != "close_notify":
             aborts.append(
@@ -460,9 +321,10 @@ def _collect(run: _Run, plane) -> _Outcome:
             }
         )
     )
-    run.hash.update(b"|".join(f.encode() for f in run.leaked))
+    leaked = leaks(chain)
+    chain.hash.update(b"|".join(f.encode() for f in leaked))
     return _Outcome(
-        established=run.established,
+        established=established,
         suite=_party_suite(parties.left),
         middleboxes=middleboxes,
         delivered_left=tuple(delivered["left"]),
@@ -472,36 +334,30 @@ def _collect(run: _Run, plane) -> _Outcome:
         rejected=tuple(sorted(set(rejected))),
         joined=tuple(sorted(set(joined))),
         fallbacks=tuple(sorted(set(fallbacks))),
-        leaked=tuple(run.leaked),
-        quiesced=run.quiesced,
-        digest=run.hash.hexdigest(),
+        leaked=tuple(leaked),
+        quiesced=quiesced,
+        digest=chain.hash.hexdigest(),
     )
 
 
 def _execute(name: str, seed: bytes, adversary, placement) -> _Outcome:
     with obs.scoped() as plane:
         parties = build_parties(name, seed)
-        run = _Run(name, parties, adversary, placement)
-        for party_name, party in (
-            ("left", parties.left),
-            *((f"middle{i}", m) for i, m in enumerate(parties.middles)),
-            ("right", parties.right),
-        ):
-            run._guard(party_name, party.start)
-        run.pump()
-        if parties.after_handshake is not None:
-            run._guard("harness", parties.after_handshake)
-        run.established = _party_established(
-            parties.left, parties.needs_handshake
-        ) and _party_established(parties.right, parties.needs_handshake)
-        if run.established:
-            for payload in _C2S_PAYLOADS:
-                run.send("left", parties.left, payload)
-            for payload in _S2C_PAYLOADS:
-                run.send("right", parties.right, payload)
-        run.close("left", parties.left)
-        run.close("right", parties.right)
-        return _collect(run, plane)
+        # Stamp alert-plane labels on the plain TLS engines so detection is
+        # origin-attributed across every implementation, not just mbTLS.
+        for party, label in ((parties.left, "client"), (parties.right, "server")):
+            if getattr(party, "origin_label", None) == "":
+                party.origin_label = label
+        tap = None
+        if adversary is not None:
+            direction, edge = placement
+            # With no middlebox both edges are hop 0: the adversary still
+            # sits on exactly one hop.
+            hop = 0 if edge == "left" else len(parties.middles)
+            tap = one_hop_tap(hop, direction, adversary.process_chunk)
+        chain = parties.chain(tap)
+        established, quiesced = parties.converse(chain, _C2S_PAYLOADS, _S2C_PAYLOADS)
+        return _collect(name, parties, chain, established, quiesced, plane)
 
 
 # Baselines are deterministic per (impl, seed); cache them so a corpus

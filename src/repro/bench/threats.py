@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.baselines.shared_key import KeySharingService
+from repro.bench.fuzzing import leaks, one_hop_tap
 from repro.core.config import (
     MbTLSEndpointConfig,
     MiddleboxConfig,
@@ -21,6 +22,7 @@ from repro.core.config import (
 )
 from repro.core.drivers import MiddleboxService, open_mbtls, serve_mbtls
 from repro.crypto.drbg import HmacDrbg
+from repro.io import HopChain
 from repro.netsim.adversary import GlobalAdversary
 from repro.netsim.driver import EngineDriver
 from repro.netsim.network import Network
@@ -730,25 +732,16 @@ def _mdtls_chain(seed: bytes, now: float = 0.0):
     )
 
 
-def _pump_mdtls(client, mbox, server, rewrite_c2s=None, rewrite_s2c=None):
-    """Drive the trio to quiescence, optionally rewriting each direction."""
-    client.start(), mbox.start(), server.start()
-    for _ in range(16):
-        progressed = False
-        for data, deliver, rewrite in (
-            (client.data_to_send(), mbox.receive_down, rewrite_c2s),
-            (mbox.data_to_send_up(), server.receive_bytes, None),
-            (server.data_to_send(), mbox.receive_up, None),
-            (mbox.data_to_send_down(), client.receive_bytes, rewrite_s2c),
-        ):
-            if data:
-                progressed = True
-                try:
-                    deliver(rewrite(data) if rewrite else data)
-                except Exception:  # noqa: BLE001 - outcome read off .abort
-                    pass
-        if not progressed:
-            break
+def _pump_mdtls(client, mbox, server, direction: str, rewrite) -> HopChain:
+    """Drive the trio to quiescence, rewriting the client's hop one way.
+
+    The rows read their outcome off the parties' aborts; a crash the chain
+    recorded (:func:`~repro.bench.fuzzing.leaks`) makes a row undefended.
+    """
+    chain = HopChain(client, [mbox], server, one_hop_tap(0, direction, rewrite))
+    chain.start()
+    chain.pump()
+    return chain
 
 
 def _rewrite_first_hello(data: bytes, rewrite_warrant):
@@ -842,8 +835,6 @@ def mdtls_expired_warrant() -> ThreatOutcome:
     window has lapsed. Every warrant-checking party must still refuse it."""
     from dataclasses import replace as _replace
 
-    from repro.wire.mdtls import DelegationCertificate
-
     deployment, client, mbox, server, creds = _mdtls_chain(b"md-t1", now=5000.0)
 
     def expire(warrant):
@@ -852,15 +843,17 @@ def mdtls_expired_warrant() -> ThreatOutcome:
             stale, signature=creds["client"].private_key.sign(stale.tbs_bytes())
         )
 
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_c2s=lambda data: _rewrite_first_hello(data, expire),
+    chain = _pump_mdtls(
+        client, mbox, server, "c2s",
+        lambda data: _rewrite_first_hello(data, expire),
     )
     aborted = [
         party.abort for party in (mbox, server, client) if party.abort is not None
     ]
-    defended = not client.established and any(
-        abort.alert == "certificate_expired" for abort in aborted
+    defended = (
+        not client.established
+        and any(abort.alert == "certificate_expired" for abort in aborted)
+        and not leaks(chain)
     )
     return ThreatOutcome(
         "expired delegation warrant presented", "mdTLS", defended,
@@ -875,9 +868,9 @@ def mdtls_unwarranted_proxy_signature() -> ThreatOutcome:
     from repro.crypto.rsa import generate_rsa_key
 
     rogue = generate_rsa_key(1024, rng)
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_s2c=lambda data: _rewrite_proxy_signatures(
+    chain = _pump_mdtls(
+        client, mbox, server, "s2c",
+        lambda data: _rewrite_proxy_signatures(
             data, lambda sig: rogue.sign(b"rogue attestation of " + sig.middlebox.encode())
         ),
     )
@@ -885,6 +878,7 @@ def mdtls_unwarranted_proxy_signature() -> ThreatOutcome:
         not client.established
         and client.abort is not None
         and client.abort.alert == "decrypt_error"
+        and not leaks(chain)
     )
     return ThreatOutcome(
         "proxy signature by unwarranted key", "mdTLS", defended,
@@ -904,9 +898,9 @@ def mdtls_truncated_transcript_signature() -> ThreatOutcome:
     deployment, client, mbox, server, creds = _mdtls_chain(b"md-t3")
     truncated = hashlib.sha256(b"prefix of the real transcript").digest()
     mbox_key = creds["mbox"].private_key
-    _pump_mdtls(
-        client, mbox, server,
-        rewrite_s2c=lambda data: _rewrite_proxy_signatures(
+    chain = _pump_mdtls(
+        client, mbox, server, "s2c",
+        lambda data: _rewrite_proxy_signatures(
             data,
             lambda sig: mbox_key.sign(
                 ProxySignature.signed_payload(sig.direction, truncated)
@@ -917,6 +911,7 @@ def mdtls_truncated_transcript_signature() -> ThreatOutcome:
         not client.established
         and client.abort is not None
         and client.abort.alert == "decrypt_error"
+        and not leaks(chain)
     )
     return ThreatOutcome(
         "proxy signature over truncated transcript", "mdTLS", defended,

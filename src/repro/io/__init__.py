@@ -9,8 +9,9 @@ protocol engines (``repro.tls``, ``repro.core``, ``repro.baselines``):
   coalesced outbox buffering, owned once instead of per-engine;
 * :mod:`repro.io.endpoint` — ``alert_for`` and the endpoint / duplex bases
   that own the alert, abort and close plumbing once;
-* :func:`pump` / :func:`pump_chain` / :class:`DuplexPump` — the only
-  quiescence-loop implementations in the tree.
+* :func:`pump` / :class:`HopChain` / :class:`DuplexPump` — the shared
+  quiescence loops (two endpoints, an in-memory tapped chain, a duplex
+  element's two transports).
 """
 
 from repro.io.connection import (
@@ -18,9 +19,9 @@ from repro.io.connection import (
     Connection,
     DuplexConnection,
     DuplexPump,
+    HopChain,
     flush_connection,
     pump,
-    pump_chain,
 )
 from repro.io.framing import (
     FRAME_ALERT,
@@ -42,6 +43,7 @@ __all__ = [
     "Connection",
     "DuplexConnection",
     "DuplexPump",
+    "HopChain",
     "RecordPlane",
     "alert_frame",
     "close_frame",
@@ -49,5 +51,4 @@ __all__ = [
     "frame",
     "pop_frames",
     "pump",
-    "pump_chain",
 ]

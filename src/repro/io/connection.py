@@ -29,25 +29,33 @@ The contract (enforced by ``tests/test_connection_contract.py``):
 contract once, as the :class:`~repro.io.endpoint.Endpoint` and
 :class:`~repro.io.endpoint.Duplex` bases most parties inherit.
 
-This module also owns the *only* pump implementations in the tree:
-:func:`pump` (two directly connected endpoints), :func:`pump_chain`
-(endpoint - duplex elements - endpoint, all in memory), and
-:class:`DuplexPump` (drain a duplex element's outboxes into two
-transports). Drivers and tests must use these instead of hand-rolling
-quiescence loops.
+This module also owns the shared pumps:
+
+* :func:`pump` — two directly connected endpoints; exceptions escape;
+* :class:`HopChain` — ``endpoint - duplex elements - endpoint`` in memory,
+  one hop at a time, with an optional tap on every delivery. Every
+  in-memory harness (fuzz, selftest, chain comparison, Table 1's mdTLS
+  rows, the chunking property) drives its chain through it;
+* :class:`DuplexPump` — drains a duplex element's outboxes into two
+  transports.
+
+The golden transcript tests in ``tests/test_connection_contract.py`` keep
+their own inline loops on purpose: they are the independent oracle these
+pumps are checked against.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Protocol, runtime_checkable
 
 __all__ = [
     "Connection",
     "DuplexConnection",
     "DuplexPump",
+    "HopChain",
     "flush_connection",
     "pump",
-    "pump_chain",
 ]
 
 #: Safety bound on pump rounds; any healthy handshake quiesces well before.
@@ -141,48 +149,117 @@ def pump(
     return a_events, b_events
 
 
-def pump_chain(
-    left: Connection,
-    middles: DuplexConnection | list,
-    right: Connection,
-    rounds: int = DEFAULT_PUMP_ROUNDS,
-) -> tuple[list, list, list]:
-    """Drive ``left - [duplex elements] - right`` to quiescence in memory.
+class HopChain:
+    """``left - middles - right`` in memory, driven one hop delivery at a time.
 
-    ``middles`` is one duplex element or a list ordered client-to-server.
-    Returns ``(left_events, middle_events, right_events)`` with the middle
-    events flattened across elements.
+    Party 0 is ``left`` and party ``n + 1`` is ``right`` for ``n`` duplex
+    ``middles`` (named ``middle0`` ..). Hop ``i`` (0..n) runs between party
+    ``i`` and party ``i + 1``, in direction ``"c2s"`` or ``"s2c"``.
+
+    Every drained chunk passes through ``tap(hop, direction, data)``, which
+    returns the segments to feed the receiver in order: ``[data]`` passes
+    it on, ``[]`` drops it, and a rewrite or a split returns other bytes.
+    Empty segments are skipped.
+
+    The chain keeps ``events`` (``(party name, event)`` in delivery order),
+    ``hash`` (a sha256 over each delivered segment as tag, 4-byte length and
+    bytes, then each event as party name and event type name; the tag is
+    ``c>``/``m>`` c2s out of ``left``/a middle and ``s>``/``m<`` s2c out of
+    ``right``/a middle) and ``errors``: every exception a party step raised,
+    as ``(party name, exception)``. A step that raised yields no events and
+    the chain carries on; what an error means is the caller's policy.
     """
-    if not isinstance(middles, (list, tuple)):
-        middles = [middles]
-    left_events: list = []
-    middle_events: list = []
-    right_events: list = []
-    for _ in range(rounds):
-        progressed = False
-        # Client-to-server sweep.
-        data = left.data_to_send()
-        for middle in middles:
-            if data:
-                middle_events += middle.receive_down(data)
-                progressed = True
-            data = middle.data_to_send_up()
-        if data:
-            right_events += right.receive_bytes(data)
-            progressed = True
-        # Server-to-client sweep.
-        data = right.data_to_send()
-        for middle in reversed(middles):
-            if data:
-                middle_events += middle.receive_up(data)
-                progressed = True
-            data = middle.data_to_send_down()
-        if data:
-            left_events += left.receive_bytes(data)
-            progressed = True
-        if not progressed:
-            break
-    return left_events, middle_events, right_events
+
+    def __init__(
+        self,
+        left: Connection,
+        middles: list,
+        right: Connection,
+        tap: Callable[[int, str, bytes], list] | None = None,
+    ) -> None:
+        self.parties = [left, *middles, right]
+        self.names = ["left", *(f"middle{i}" for i in range(len(middles))), "right"]
+        self.last_hop = len(middles)
+        self.tap = tap
+        self.events: list[tuple[str, object]] = []
+        self.errors: list[tuple[str, Exception]] = []
+        self.hash = hashlib.sha256()
+        # (hop, direction) -> (drain the sender, tag, receiver name, receive).
+        self._hops = {}
+        for hop in range(self.last_hop + 1):
+            near, far = self.parties[hop], self.parties[hop + 1]
+            self._hops[hop, "c2s"] = (
+                near.data_to_send if hop == 0 else near.data_to_send_up,
+                b"c>" if hop == 0 else b"m>",
+                self.names[hop + 1],
+                far.receive_bytes if hop == self.last_hop else far.receive_down,
+            )
+            self._hops[hop, "s2c"] = (
+                far.data_to_send if hop == self.last_hop else far.data_to_send_down,
+                b"s>" if hop == self.last_hop else b"m<",
+                self.names[hop],
+                near.receive_bytes if hop == 0 else near.receive_up,
+            )
+
+    def party(self, name: str):
+        return self.parties[self.names.index(name)]
+
+    def guard(self, name: str, step: Callable, *args):
+        """Run one party step; an exception goes to ``errors``, not up."""
+        try:
+            return step(*args)
+        except Exception as exc:  # noqa: BLE001 - recorded for the caller
+            self.errors.append((name, exc))
+            return []
+
+    def start(self) -> None:
+        """Start every party, left to right."""
+        for name, party in zip(self.names, self.parties):
+            self.guard(name, party.start)
+
+    def deliver(self, hop: int, direction: str) -> bool:
+        """Move one hop's queued bytes on; True if the sender had any."""
+        drain, tag, name, receive = self._hops[hop, direction]
+        data = drain()
+        if not data:
+            return False
+        for segment in [data] if self.tap is None else self.tap(hop, direction, data):
+            if not segment:
+                continue
+            self.hash.update(tag + len(segment).to_bytes(4, "big") + segment)
+            for event in self.guard(name, receive, segment):
+                self.events.append((name, event))
+                self.hash.update(name.encode() + type(event).__name__.encode())
+        return True
+
+    def step(self) -> bool:
+        """One sweep: every c2s hop in order, then every s2c hop in reverse."""
+        moved = False
+        for hop in range(self.last_hop + 1):
+            moved |= self.deliver(hop, "c2s")
+        for hop in range(self.last_hop, -1, -1):
+            moved |= self.deliver(hop, "s2c")
+        return moved
+
+    def pump(self) -> bool:
+        """Sweep until nothing moves; False if that took too many sweeps."""
+        for _ in range(DEFAULT_PUMP_ROUNDS):
+            if not self.step():
+                return True
+        return False
+
+    def send(self, name: str, data: bytes) -> bool:
+        """Queue application data at an open party, then :meth:`pump`."""
+        party = self.party(name)
+        if party.closed:
+            return True
+        self.guard(name, party.send_application_data, data)
+        return self.pump()
+
+    def close(self, name: str) -> bool:
+        """Close one party, then :meth:`pump`."""
+        self.guard(name, self.party(name).close)
+        return self.pump()
 
 
 def flush_connection(connection: Connection, send: Callable[[bytes], None]) -> bool:

@@ -23,7 +23,6 @@ from repro.bench.fuzzing import CASE_NAMES, build_parties
 from repro.tls.events import ApplicationData
 
 _SEED = b"chunking-property"
-_ROUNDS = 60
 _MAX_SEGMENT = 64 * 1024
 _C2S = (b"chunk-ping", b"C" * 20_000)
 _S2C = (b"chunk-pong", b"S" * 40_000)
@@ -61,69 +60,23 @@ class _Segmenter:
 
 
 class _Session:
-    """One scripted ``left - middles - right`` session and its ledger."""
+    """One scripted ``left - middles - right`` session on a segmenting chain."""
 
     def __init__(self, name: str, schedule) -> None:
         self.parties = build_parties(name, _SEED)
-        self.segmenter = _Segmenter(schedule)
-        self.names = ["left", *(f"middle{i}" for i in range(len(self.parties.middles))),
-                      "right"]
-        self.events: dict[str, list] = {name: [] for name in self.names}
-
-    def _deliver(self, party_name: str, receive, data: bytes) -> None:
-        for segment in self.segmenter.split(data):
-            self.events[party_name] += receive(segment)
-
-    def pump(self) -> None:
-        left, middles, right = self.parties.left, self.parties.middles, self.parties.right
-        for _ in range(_ROUNDS):
-            progressed = False
-            data = left.data_to_send()
-            for index, middle in enumerate(middles):
-                if data:
-                    self._deliver(f"middle{index}", middle.receive_down, data)
-                    progressed = True
-                data = middle.data_to_send_up()
-            if data:
-                self._deliver("right", right.receive_bytes, data)
-                progressed = True
-            data = right.data_to_send()
-            for index in range(len(middles) - 1, -1, -1):
-                if data:
-                    self._deliver(f"middle{index}", middles[index].receive_up, data)
-                    progressed = True
-                data = middles[index].data_to_send_down()
-            if data:
-                self._deliver("left", left.receive_bytes, data)
-                progressed = True
-            if not progressed:
-                return
-        raise AssertionError(f"pump did not quiesce within {_ROUNDS} rounds")
+        segmenter = _Segmenter(schedule)
+        self.chain = self.parties.chain(lambda hop, direction, data: segmenter.split(data))
 
     def run(self) -> "_Session":
-        parties = self.parties
-        for party in (parties.left, *parties.middles, parties.right):
-            party.start()
-        self.pump()
-        if parties.after_handshake is not None:
-            parties.after_handshake()
-        for payload in _C2S:
-            parties.left.send_application_data(payload)
-            self.pump()
-        for payload in _S2C:
-            parties.right.send_application_data(payload)
-            self.pump()
-        parties.left.close()
-        self.pump()
-        parties.right.close()
-        self.pump()
+        established, quiesced = self.parties.converse(self.chain, _C2S, _S2C)
+        assert self.chain.errors == []
+        assert established and quiesced
         return self
 
     def outcome(self) -> dict:
-        parties = [self.parties.left, *self.parties.middles, self.parties.right]
         result = {}
-        for name, party in zip(self.names, parties):
-            events = self.events[name]
+        for name, party in zip(self.chain.names, self.chain.parties):
+            events = [event for who, event in self.chain.events if who == name]
             abort = getattr(party, "abort", None)
             result[name] = {
                 "events": [type(event).__name__ for event in events],
