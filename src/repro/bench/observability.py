@@ -21,7 +21,6 @@ from repro import obs
 from repro.core.config import MbTLSEndpointConfig, MiddleboxConfig, MiddleboxRole
 from repro.core.config import SessionEstablished
 from repro.core.drivers import MiddleboxService, open_mbtls, serve_mbtls
-from repro.crypto import pool as aead_pool
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import DecodeError
 from repro.netsim.adversary import GlobalAdversary
@@ -36,6 +35,7 @@ __all__ = [
     "wire_record_counts",
     "hop_directions",
     "metrics_report",
+    "pool_problems",
 ]
 
 
@@ -55,7 +55,6 @@ class ObservedRun:
     request_size: int
     response_size: int
     middlebox_names: list[str] = field(default_factory=list)
-    workers: int | None = None
 
 
 def run_observed(
@@ -65,37 +64,14 @@ def run_observed(
     request_size: int = 512,
     response_size: int = 2048,
     latency: float = 0.005,
-    workers: int | None = None,
 ) -> ObservedRun:
     """Run the instrumented fetch and return the collected evidence.
 
-    With ``workers`` set, the AEAD process pool is installed for the
-    duration of the scenario; pool-eligible flights (size the response so
-    each one fragments into at least 8 records / 64 KiB) route their
-    seal/open batches through the workers, and the ``crypto.pool.*``
-    counters land on the scoped plane for the metrics cross-check.
+    A response of at least 8 records / 64 KiB makes pool-eligible flights,
+    whose seal/open batches may run on the shared AEAD pool; the
+    ``crypto.pool.*`` counters then land on the scoped plane for
+    :func:`pool_problems`.
     """
-    if workers:
-        aead_pool.configure(workers)
-    try:
-        return _run_observed(
-            seed, middleboxes, flights, request_size, response_size,
-            latency, workers,
-        )
-    finally:
-        if workers:
-            aead_pool.reset()
-
-
-def _run_observed(
-    seed: str,
-    middleboxes: int,
-    flights: int,
-    request_size: int,
-    response_size: int,
-    latency: float,
-    workers: int | None,
-) -> ObservedRun:
     with obs.scoped() as plane:
         rng = HmacDrbg(seed.encode())
         from repro.bench.scenarios import Pki, build_chain_network
@@ -183,7 +159,6 @@ def _run_observed(
             request_size=request_size,
             response_size=response_size,
             middlebox_names=mb_names,
-            workers=workers,
         )
 
 
@@ -257,7 +232,8 @@ def metrics_report(run: ObservedRun, include_trace: bool = True) -> dict:
 
     Deterministic by construction: every number is a pure function of the
     scenario seed (counters, sim-time spans, wire captures); nothing reads
-    the wall clock.
+    the wall clock. Only a ``pool`` section, present when flights were
+    pooled, also depends on the pool's worker count (its chunk slots).
     """
     metrics = run.plane.metrics
     wire = wire_record_counts(run.adversary)
@@ -294,16 +270,16 @@ def metrics_report(run: ObservedRun, include_trace: bool = True) -> dict:
         "wire": {hop: dict(sorted(types.items())) for hop, types in sorted(wire.items())},
         "metrics": metrics.snapshot(),
     }
-    if run.workers:
+    pooled = {
+        op: metrics.counter_value("crypto.pool.records", op=op)
+        for op in ("seal", "open")
+    }
+    if any(pooled.values()):
         # Pool accounting for the cross-check: how many records each op
         # routed through the workers, and the per-chunk-slot task counts
         # (slots, not PIDs — slots are deterministic).
         report["pool"] = {
-            "workers": run.workers,
-            "records": {
-                "seal": metrics.counter_value("crypto.pool.records", op="seal"),
-                "open": metrics.counter_value("crypto.pool.records", op="open"),
-            },
+            "records": pooled,
             "tasks": [
                 {"chunk": labels["chunk"], "op": labels["op"], "value": value}
                 for labels, value in metrics.iter_counters("crypto.pool.tasks")
@@ -312,3 +288,29 @@ def metrics_report(run: ObservedRun, include_trace: bool = True) -> dict:
     if include_trace:
         report["trace"] = run.plane.tracer.snapshot()
     return report
+
+
+def pool_problems(report: dict) -> list[str]:
+    """Reconcile a report's ``pool`` section with its per-hop accounting.
+
+    Every pooled record is also a sealed / opened application-data
+    record, so the pool totals are bounded by the wiretap-verified per-hop
+    counts; each op must have pooled records, and tasks in a chunk slot.
+    Empty when the report has no pool section or the counts agree.
+    """
+    pool = report.get("pool")
+    if pool is None:
+        return []
+    problems = []
+    for op, done in (("seal", "sealed"), ("open", "opened")):
+        pooled = pool["records"][op]
+        total = sum(hop[f"{done}_application_data"] for hop in report["per_hop"])
+        if pooled > total:
+            problems.append(
+                f"pooled {op}s {pooled} exceed the {total} application-data "
+                f"records {done} on the wire")
+        if pooled <= 0:
+            problems.append(f"no {op} records were pooled")
+        if sum(t["value"] for t in pool["tasks"] if t["op"] == op) <= 0:
+            problems.append(f"no {op} tasks reached any chunk slot")
+    return problems

@@ -236,19 +236,14 @@ def _cmd_selftest(args) -> None:
 def _cmd_metrics(args) -> None:
     import json
 
-    from repro.bench.observability import metrics_report, run_observed
+    from repro.bench.observability import (
+        metrics_report,
+        pool_problems,
+        run_observed,
+    )
     from repro.bench.tables import render_table
 
-    flights = 1 if args.quick else 3
-    workers = args.workers or None
-    # With a pool, size the response so each flight fragments into eight
-    # 16 KiB records — the smallest pool-eligible batch — so the pooled
-    # open path is actually exercised on every hop.
-    response_size = 128 * 1024 if workers else 2048
-    run = run_observed(
-        seed=args.seed, flights=flights, workers=workers,
-        response_size=response_size,
-    )
+    run = run_observed(seed=args.seed, flights=1 if args.quick else 3)
     report = metrics_report(run, include_trace=not args.quick)
 
     if args.json:
@@ -289,43 +284,13 @@ def _cmd_metrics(args) -> None:
     if rows:
         print(render_table("Selected session counters",
                            ["counter", "labels", "value"], rows))
-    pool = report.get("pool")
-    if pool:
-        rows = [[f"chunk {t['chunk']}", t["op"], t["value"]]
-                for t in pool["tasks"]]
-        rows.append(["total records", "seal", pool["records"]["seal"]])
-        rows.append(["total records", "open", pool["records"]["open"]])
-        print(render_table(
-            f"AEAD pool ({pool['workers']} workers)",
-            ["series", "op", "count"], rows))
-        # Cross-check the pool against the same wiretap-verified counters
-        # the per-hop table uses: every pooled record is also a sealed /
-        # opened record, so the pool totals are bounded by them, and a
-        # pooled run with flights sized for eligibility must actually have
-        # routed records through the workers.
-        total_sealed = sum(h["sealed_application_data"] for h in report["per_hop"])
-        total_opened = sum(h["opened_application_data"] for h in report["per_hop"])
-        problems = []
-        if pool["records"]["seal"] > total_sealed:
-            problems.append(
-                f"pooled seals {pool['records']['seal']} exceed the "
-                f"{total_sealed} application-data records sealed on the wire")
-        if pool["records"]["open"] > total_opened:
-            problems.append(
-                f"pooled opens {pool['records']['open']} exceed the "
-                f"{total_opened} application-data records opened on the wire")
-        if pool["records"]["seal"] <= 0 or pool["records"]["open"] <= 0:
-            problems.append("pool configured but no records were pooled")
-        for op in ("seal", "open"):
-            tasked = sum(t["value"] for t in pool["tasks"] if t["op"] == op)
-            if tasked <= 0:
-                problems.append(f"no {op} tasks reached any chunk slot")
-        if problems:
-            raise SystemExit("pool cross-check failed: " + "; ".join(problems))
+    problems = pool_problems(report)
+    if problems:
+        raise SystemExit("pool cross-check failed: " + "; ".join(problems))
     if mismatches:
         raise SystemExit(f"{mismatches} hop(s) disagree with the wiretap")
     print("all hops agree with the adversary's ground truth"
-          + (" (pooled counters reconciled)" if pool else ""))
+          + (" (pooled counters reconciled)" if "pool" in report else ""))
 
 
 def _cmd_bench(args) -> None:
@@ -340,14 +305,12 @@ def _cmd_bench(args) -> None:
     crypto_path = root / "BENCH_crypto.json"
 
     mode = "quick" if args.quick else "full"
-    workers = args.workers or None
     # One stamp for both reports, taken before either is written: writing
     # BENCH_crypto.json dirties the tree the record-plane run would see.
     stamp = crypto_bench.git_describe()
     print(f"crypto bench ({mode}): primitives at 16 KiB records, "
-          f"then a 2-middlebox chain"
-          f"{f' (+{workers}-worker pooled leg)' if workers else ''} ...")
-    report = crypto_bench.run(stamp, quick=args.quick, workers=workers)
+          "then a 2-middlebox chain ...")
+    report = crypto_bench.run(stamp, quick=args.quick)
 
     rows = [
         [p["suite"], f"{p['seal_mb_per_s']:.1f}", f"{p['open_mb_per_s']:.1f}",
@@ -586,11 +549,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(middlebox failover, brownouts, degradation) "
                              "and write BENCH_fleet_chaos.json")
     parser.add_argument("--workers", type=int, default=0,
-                        help="bench: add a pooled chain leg with this many "
-                             "AEAD worker processes; fleet: run shards in "
-                             "worker processes; metrics: pool the scenario's "
-                             "seal/open batches and cross-check the pooled "
-                             "counters (0 = serial)")
+                        help="fleet: run shards in this many worker "
+                             "processes (0 = in process)")
     args = parser.parse_args(argv)
 
     if args.command == "all":

@@ -6,8 +6,10 @@ with no shared state, so a batch can be split across worker processes and
 the results merged back **in submission order** — the wire bytes are
 bit-identical to a serial run by construction.
 
-The pool is opt-in (``configure(workers=N)``; the CLI threads
-``--workers`` through) and conservative:
+The record layer, not its caller, decides when to pool: a batch goes to
+the :func:`shared` pool only when it is :func:`eligible` and the process
+can run on at least two CPUs. The shared pool is built on first use,
+sized to the usable CPUs, and closed at interpreter exit. Beyond that:
 
 * batches below :data:`_MIN_RECORDS` records or :data:`_MIN_BYTES` total
   payload run serially — IPC overhead would beat the parallelism;
@@ -21,19 +23,22 @@ Workers rebuild AEAD contexts from ``(suite_code, key)`` on first use and
 cache them per process, so a long flight pays the key schedule once per
 worker. Per-chunk task counts land on the ``crypto.pool.tasks`` counter
 labelled by *chunk slot* (worker PIDs are scheduling-dependent; chunk
-slots are deterministic), which ``python -m repro metrics`` cross-checks
-against wiretap ground truth.
+slots are deterministic), which :func:`repro.bench.observability.pool_problems`
+cross-checks against wiretap ground truth.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import multiprocessing as _mp
+import os
 import threading
 
 from repro import obs
 from repro.errors import CryptoError
 
-__all__ = ["AeadPool", "configure", "active", "reset"]
+__all__ = ["AeadPool", "eligible", "shared", "substituted", "usable_cpus"]
 
 #: Batches smaller than this many records always run serially.
 _MIN_RECORDS = 8
@@ -86,6 +91,9 @@ class AeadPool:
             # workers never touch inherited mutable state (every task
             # carries its full inputs).
             self._pool = _mp.get_context("fork").Pool(self.workers)
+            # Registered after the Pool, so this runs before
+            # multiprocessing's own exit hook would terminate the workers.
+            atexit.register(self.close)
         return self._pool
 
     def close(self) -> None:
@@ -157,38 +165,58 @@ class AeadPool:
         """
         return self._run(_worker_open, "open", suite, key, items)
 
-    def eligible(self, items) -> bool:
-        """Whether a batch is big enough to beat the IPC overhead."""
-        if len(items) < _MIN_RECORDS:
-            return False
-        total = 0
-        for _, data, _ in items:
-            total += len(data)
-        return total >= _MIN_BYTES
+
+def eligible(items) -> bool:
+    """Whether a batch is big enough to beat the IPC overhead.
+
+    Counts the AEAD input: plaintext to seal, ciphertext and tag to open.
+    """
+    if len(items) < _MIN_RECORDS:
+        return False
+    total = 0
+    for _, data, _ in items:
+        total += len(data)
+    return total >= _MIN_BYTES
 
 
-_ACTIVE: AeadPool | None = None
-
-
-def configure(workers: int | None) -> AeadPool | None:
-    """Install (or with ``None``/``0``/``1``, remove) the process pool."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        _ACTIVE.close()
-        _ACTIVE = None
-    if workers and workers >= 2:
-        _ACTIVE = AeadPool(workers)
-    return _ACTIVE
-
-
-def active() -> AeadPool | None:
-    """The installed pool, or ``None`` when running serial."""
-    return _ACTIVE
-
-
-def reset() -> None:
-    """Tear down the installed pool (test/bench hygiene; atexit-safe)."""
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, where there is one."""
     try:
-        configure(None)
-    except Exception:
-        pass
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+#: ``(pid, pool)`` of the process that decided; ``None`` until one has.
+_SHARED: tuple[int, AeadPool | None] | None = None
+
+
+def shared() -> AeadPool | None:
+    """This process's pool, or ``None`` where fewer than two CPUs are usable.
+
+    Decided on first call and kept for the life of the process; its
+    workers fork on first use and are closed at interpreter exit. A forked
+    child never uses its parent's workers: it decides afresh, and a
+    daemonic child (a fleet shard worker), which may not fork, runs serial.
+    """
+    global _SHARED
+    pid = os.getpid()
+    if _SHARED is None or _SHARED[0] != pid:
+        workers = 0 if _mp.current_process().daemon else usable_cpus()
+        _SHARED = (pid, AeadPool(workers) if workers >= 2 else None)
+    return _SHARED[1]
+
+
+@contextlib.contextmanager
+def substituted(pool: AeadPool | None):
+    """Within the block, :func:`shared` returns ``pool`` (``None``: serial).
+
+    The seam through which tests substitute a pool and the crypto bench
+    holds its serial legs off the pool; the caller owns ``pool``.
+    """
+    global _SHARED
+    saved, _SHARED = _SHARED, (os.getpid(), pool)
+    try:
+        yield pool
+    finally:
+        _SHARED = saved

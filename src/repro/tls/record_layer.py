@@ -166,40 +166,27 @@ class ConnectionState:
         self.sequence += 1
         return plaintext
 
-    def _seal_batch(self, batch: list[tuple[bytes, bytes, bytes]]) -> list[bytes]:
-        """Seal a prepared batch, via the process pool when configured.
+    def _batch(self, op: str, batch: list[tuple[bytes, bytes, bytes]]) -> list[bytes]:
+        """``seal_many``/``open_many`` (``op``) over a prepared batch.
 
-        Each record is a pure function of its tuple, and the pool merges
-        results in submission order, so pooled output is byte-identical
-        to the serial path; pool-infrastructure failures fall back to
-        serial for the batch.
+        An eligible batch runs on the process's shared AEAD pool, when it
+        has one. Each record is a pure function of its tuple, and the pool
+        merges results in submission order, so pooled output is
+        byte-identical to the serial path; pool-infrastructure failures
+        fall back to serial for the batch. IntegrityError (a CryptoError)
+        propagates from workers untouched — a tag failure is a verdict,
+        not a pool malfunction — keeping unprotect_many's all-or-nothing
+        contract.
         """
-        pool = aead_pool.active()
-        if pool is not None and pool.eligible(batch):
+        pool = aead_pool.eligible(batch) and aead_pool.shared()
+        if pool:
             try:
-                return pool.seal_many(self.suite, self.key, batch)
+                return getattr(pool, op)(self.suite, self.key, batch)
             except CryptoError:
                 raise
             except Exception:
                 pass
-        return self._aead.seal_many(batch)
-
-    def _open_batch(self, batch: list[tuple[bytes, bytes, bytes]]) -> list[bytes]:
-        """Open a prepared batch, via the process pool when configured.
-
-        IntegrityError (a CryptoError) propagates from workers untouched
-        — a tag failure is a verdict, not a pool malfunction — keeping
-        unprotect_many's all-or-nothing contract.
-        """
-        pool = aead_pool.active()
-        if pool is not None and pool.eligible(batch):
-            try:
-                return pool.open_many(self.suite, self.key, batch)
-            except CryptoError:
-                raise
-            except Exception:
-                pass
-        return self._aead.open_many(batch)
+        return getattr(self._aead, op)(batch)
 
     def protect_many(
         self, items: list[tuple[ContentType, bytes]]
@@ -222,7 +209,7 @@ class ConnectionState:
                 self._aad(content_type, len(plaintext), sequence),
             ))
             sequence += 1
-        sealed = self._seal_batch(batch)
+        sealed = self._batch("seal_many", batch)
         self.sequence = sequence
         return [
             Record(
@@ -257,7 +244,7 @@ class ConnectionState:
                           len(ciphertext) - tag_length, sequence),
             ))
             sequence += 1
-        plaintexts = self._open_batch(batch)
+        plaintexts = self._batch("open_many", batch)
         self.sequence = sequence
         return plaintexts
 

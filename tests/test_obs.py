@@ -193,6 +193,53 @@ class TestGroundTruth:
         assert hop_installs == {"client": 1, "mb1": 1, "mb2": 1}
 
 
+class TestPoolReconciliation:
+    """The ``pool`` section must agree with the per-hop wire accounting."""
+
+    def test_pooled_run_reconciles(self):
+        from repro.bench.observability import (
+            metrics_report,
+            pool_problems,
+            run_observed,
+        )
+        from repro.crypto import pool as aead_pool
+
+        pool = aead_pool.AeadPool(workers=2)
+        try:
+            with aead_pool.substituted(pool):
+                # 128 KiB responses fragment into eight 16 KiB records: the
+                # smallest eligible batch, sealed and opened on every hop.
+                run = run_observed(seed="pool", flights=1, response_size=128 * 1024)
+        finally:
+            pool.close()
+        report = metrics_report(run, include_trace=False)
+        assert report["pool"]["records"] == {"seal": 24, "open": 24}
+        assert pool_problems(report) == []
+
+    def test_default_run_has_no_pool_section(self, observed_run):
+        from repro.bench.observability import metrics_report, pool_problems
+
+        report = metrics_report(observed_run, include_trace=False)
+        assert "pool" not in report
+        assert pool_problems(report) == []
+
+    def test_problems_name_each_disagreement(self):
+        from repro.bench.observability import pool_problems
+
+        report = {
+            "per_hop": [{"sealed_application_data": 8,
+                         "opened_application_data": 8}],
+            "pool": {"records": {"seal": 9, "open": 0},
+                     "tasks": [{"chunk": "0", "op": "seal", "value": 1}]},
+        }
+        assert pool_problems(report) == [
+            "pooled seals 9 exceed the 8 application-data records sealed "
+            "on the wire",
+            "no open records were pooled",
+            "no open tasks reached any chunk slot",
+        ]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical_report(self):
         from repro.bench.observability import metrics_report, run_observed
