@@ -33,15 +33,19 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.kdf import prf
-from repro.crypto.x25519 import x25519, x25519_base
-from repro.errors import CryptoError, ProtocolError, ReproError
-from repro.io.endpoint import Duplex, Endpoint
+from repro.crypto.x25519 import X25519PrivateKey
+from repro.errors import CryptoError, ProtocolError
+from repro.io.endpoint import RecordDuplex, RecordEndpoint
 from repro.io.record_plane import RecordPlane
 from repro.pki.authority import Credential
 from repro.pki.store import TrustStore
 from repro.tls.ciphersuites import DEFAULT_SUITES, CipherSuite, suite_by_code
 from repro.tls.events import ApplicationData, HandshakeComplete
-from repro.tls.keyschedule import derive_master_secret, finished_verify_data
+from repro.tls.keyschedule import (
+    agree_pre_master,
+    derive_master_secret,
+    finished_verify_data,
+)
 from repro.tls.record_layer import ConnectionState
 from repro.wire.alerts import Alert
 from repro.wire.extensions import ExtensionType
@@ -209,7 +213,7 @@ class MdTLSDeployment:
         )
 
 
-class _MdTLSEndpoint(Endpoint):
+class _MdTLSEndpoint(RecordEndpoint):
     """State shared by both mdTLS endpoints: plane, transcript, aborts."""
 
     origin_label = "mdtls-endpoint"
@@ -230,63 +234,49 @@ class _MdTLSEndpoint(Endpoint):
     def _transcript_hash(self) -> bytes:
         return hashlib.sha256(bytes(self._transcript)).digest()
 
+    def _expect_state(self, state: str, kind: HandshakeType) -> None:
+        if self._state != state:
+            raise ProtocolError(
+                f"unexpected {kind.name} in state {self._state}",
+                alert="unexpected_message",
+            )
+
     def _send_handshake(self, message) -> Handshake:
         framed = Handshake(msg_type=message.msg_type, body=message.encode_body())
         self._append_transcript(framed)
         self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
         return framed
 
-    def receive_bytes(self, data: bytes) -> list:
-        if self.closed:
-            return []
-        events: list = []
-        try:
-            self._plane.feed(data)
-            records = self._plane.pop_records()
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for record in records:
-            if self.closed:
-                break
-            try:
-                if record.content_type == ContentType.ALERT:
-                    if self._handle_alert(record.payload, events):
-                        break
-                    continue
-                if record.content_type == ContentType.HANDSHAKE:
-                    if self.established:
-                        raise ProtocolError(
-                            "handshake record after establishment",
-                            alert="unexpected_message",
-                        )
-                    payload = record.payload
-                    self._handshake.feed(
-                        payload if isinstance(payload, bytes) else bytes(payload)
-                    )
-                    for message in self._handshake.pop_messages():
-                        self._handle_handshake(message, events)
-                        if self.closed:
-                            break
-                    continue
-                if record.content_type == ContentType.APPLICATION_DATA:
-                    if not self.established:
-                        raise ProtocolError(
-                            "application data before handshake completion",
-                            alert="unexpected_message",
-                        )
-                    events.append(
-                        ApplicationData(data=self._plane.unprotect(record))
-                    )
-                    continue
+    def _on_record(self, record: Record, plaintext: bytes | None) -> None:
+        if record.content_type == ContentType.ALERT:
+            self._handle_alert(record.payload, self._events)
+            return
+        if record.content_type == ContentType.HANDSHAKE:
+            if self.established:
                 raise ProtocolError(
-                    f"unexpected content type {int(record.content_type)}",
+                    "handshake record after establishment",
                     alert="unexpected_message",
                 )
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                self._abort(exc, events)
-                break
-        return events
+            self._handshake.feed(bytes(record.payload))
+            for message in self._handshake.pop_messages():
+                self._handle_handshake(message)
+                if self.closed:
+                    return
+            return
+        if record.content_type == ContentType.APPLICATION_DATA:
+            if not self.established:
+                raise ProtocolError(
+                    "application data before handshake completion",
+                    alert="unexpected_message",
+                )
+            if plaintext is None:
+                plaintext = self._plane.unprotect(record)
+            self._events.append(ApplicationData(data=plaintext))
+            return
+        raise ProtocolError(
+            f"unexpected content type {int(record.content_type)}",
+            alert="unexpected_message",
+        )
 
     def send_application_data(self, data: bytes) -> None:
         if self.closed:
@@ -300,7 +290,7 @@ class _MdTLSEndpoint(Endpoint):
     ) -> None:
         self._plane.replace_states(read_state, write_state)
 
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
+    def _handle_handshake(self, message: Handshake) -> None:
         raise NotImplementedError
 
 
@@ -335,7 +325,7 @@ class MdTLSClientConnection(_MdTLSEndpoint):
         self._client_random = b""
         self._server_random = b""
         self._suite: CipherSuite | None = None
-        self._kex_private = b""
+        self._kex_private: X25519PrivateKey | None = None
         self._master_secret = b""
         self._server_certificate = None
         self._c2s_hash = b""
@@ -352,12 +342,10 @@ class MdTLSClientConnection(_MdTLSEndpoint):
                 DelegationCertificateExtension(self._warrants).to_extension(),
             ),
         )
-        framed = Handshake(msg_type=hello.msg_type, body=hello.encode_body())
-        self._append_transcript(framed)
-        self._plane.queue_record(ContentType.HANDSHAKE, framed.encode())
+        self._send_handshake(hello)
         self._state = "wait_server_hello"
 
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
+    def _handle_handshake(self, message: Handshake) -> None:
         kind = message.msg_type
         if kind == HandshakeType.SERVER_HELLO:
             self._expect_state("wait_server_hello", kind)
@@ -397,24 +385,17 @@ class MdTLSClientConnection(_MdTLSEndpoint):
             self._append_transcript(message)
             self._s2c_hash = self._transcript_hash()
             self._state = "wait_proxy_signatures"
-            self._maybe_complete(events)
+            self._maybe_complete()
             return
         if kind == HandshakeType.MDTLS_PROXY_SIGNATURE:
             self._expect_state("wait_proxy_signatures", kind)
             self._proxy_signatures.append(ProxySignature.decode_body(message.body))
-            self._maybe_complete(events)
+            self._maybe_complete()
             return
         raise ProtocolError(
             f"unexpected handshake message {kind.name} in state {self._state}",
             alert="unexpected_message",
         )
-
-    def _expect_state(self, state: str, kind: HandshakeType) -> None:
-        if self._state != state:
-            raise ProtocolError(
-                f"unexpected {kind.name} in state {self._state}",
-                alert="unexpected_message",
-            )
 
     def _process_server_hello(self, hello: ServerHello) -> None:
         if hello.cipher_suite not in DEFAULT_SUITES:
@@ -462,15 +443,16 @@ class MdTLSClientConnection(_MdTLSEndpoint):
                 "bad signature on ServerKeyExchange", alert="decrypt_error"
             )
         server_public = kex.parse_ecdhe_public()
-        self._kex_private = self._rng.random_bytes(32)
-        shared = x25519(self._kex_private, server_public)
+        self._kex_private = X25519PrivateKey(self._rng.random_bytes(32))
+        shared = agree_pre_master(self._kex_private, server_public)
         self._master_secret = derive_master_secret(
             shared, self._client_random, self._server_random
         )
 
     def _send_client_flight(self) -> None:
-        public = x25519_base(self._kex_private)
-        self._send_handshake(ClientKeyExchange(exchange_data=public))
+        self._send_handshake(
+            ClientKeyExchange(exchange_data=self._kex_private.public_bytes)
+        )
         for hop, warrant in enumerate(self._warrants):
             secrets = derive_hop_secret(
                 self._master_secret, self._client_random, self._server_random, hop
@@ -490,7 +472,7 @@ class MdTLSClientConnection(_MdTLSEndpoint):
         self._send_handshake(Finished(verify_data=verify_data))
         self._c2s_hash = self._transcript_hash()
 
-    def _maybe_complete(self, events: list) -> None:
+    def _maybe_complete(self) -> None:
         if len(self._proxy_signatures) < len(self._warrants):
             return
         if len(self._proxy_signatures) > len(self._warrants):
@@ -531,7 +513,7 @@ class MdTLSClientConnection(_MdTLSEndpoint):
         self._install_states(server_write, client_write)
         self.established = True
         self._state = "established"
-        events.append(
+        self._events.append(
             HandshakeComplete(
                 cipher_suite=self._suite.code,
                 peer_certificate=self._server_certificate,
@@ -572,14 +554,14 @@ class MdTLSServerConnection(_MdTLSEndpoint):
         self._client_random = b""
         self._server_random = b""
         self._suite: CipherSuite | None = None
-        self._kex_private = b""
+        self._kex_private: X25519PrivateKey | None = None
         self._master_secret = b""
         self._c2s_hash = b""
         self._deliveries: list[HopKeyDelivery] = []
         self._proxy_signatures: list[ProxySignature] = []
         self._client_warrants: tuple[DelegationCertificate, ...] = ()
 
-    def _handle_handshake(self, message: Handshake, events: list) -> None:
+    def _handle_handshake(self, message: Handshake) -> None:
         kind = message.msg_type
         if kind == HandshakeType.CLIENT_HELLO:
             self._expect_state("wait_client_hello", kind)
@@ -591,7 +573,7 @@ class MdTLSServerConnection(_MdTLSEndpoint):
             self._expect_state("wait_client_kex", kind)
             self._append_transcript(message)
             kex = ClientKeyExchange.decode_body(message.body)
-            shared = x25519(self._kex_private, kex.exchange_data)
+            shared = agree_pre_master(self._kex_private, kex.exchange_data)
             self._master_secret = derive_master_secret(
                 shared, self._client_random, self._server_random
             )
@@ -633,24 +615,17 @@ class MdTLSServerConnection(_MdTLSEndpoint):
             self._append_transcript(message)
             self._c2s_hash = self._transcript_hash()
             self._state = "wait_proxy_signatures"
-            self._maybe_finish(events)
+            self._maybe_finish()
             return
         if kind == HandshakeType.MDTLS_PROXY_SIGNATURE:
             self._expect_state("wait_proxy_signatures", kind)
             self._proxy_signatures.append(ProxySignature.decode_body(message.body))
-            self._maybe_finish(events)
+            self._maybe_finish()
             return
         raise ProtocolError(
             f"unexpected handshake message {kind.name} in state {self._state}",
             alert="unexpected_message",
         )
-
-    def _expect_state(self, state: str, kind: HandshakeType) -> None:
-        if self._state != state:
-            raise ProtocolError(
-                f"unexpected {kind.name} in state {self._state}",
-                alert="unexpected_message",
-            )
 
     def _process_client_hello(self, hello: ClientHello) -> None:
         extension = hello.find_extension(int(ExtensionType.DELEGATION_CERTIFICATE))
@@ -694,10 +669,8 @@ class MdTLSServerConnection(_MdTLSEndpoint):
             )
         )
         self._send_handshake(Certificate(chain=self._credential.encoded_chain()))
-        self._kex_private = self._rng.random_bytes(32)
-        params = ServerKeyExchange.encode_ecdhe_params(
-            x25519_base(self._kex_private)
-        )
+        self._kex_private = X25519PrivateKey(self._rng.random_bytes(32))
+        params = ServerKeyExchange.encode_ecdhe_params(self._kex_private.public_bytes)
         signature = self._credential.private_key.sign(
             self._client_random + self._server_random + params
         )
@@ -710,7 +683,7 @@ class MdTLSServerConnection(_MdTLSEndpoint):
         )
         self._send_handshake(ServerHelloDone())
 
-    def _maybe_finish(self, events: list) -> None:
+    def _maybe_finish(self) -> None:
         if len(self._proxy_signatures) < len(self._expected):
             return
         if len(self._proxy_signatures) > len(self._expected):
@@ -759,10 +732,10 @@ class MdTLSServerConnection(_MdTLSEndpoint):
         self._install_states(client_write, server_write)
         self.established = True
         self._state = "established"
-        events.append(HandshakeComplete(cipher_suite=self._suite.code))
+        self._events.append(HandshakeComplete(cipher_suite=self._suite.code))
 
 
-class MdTLSMiddleboxConnection(Duplex):
+class MdTLSMiddleboxConnection(RecordDuplex):
     """Sans-IO duplex mdTLS middlebox.
 
     Forwards every handshake record *verbatim* (keeping the endpoints'
@@ -808,75 +781,49 @@ class MdTLSMiddleboxConnection(Duplex):
     def _send_alert(self, side: int, alert: Alert) -> None:
         self._planes[side].queue_encoded(_plaintext_alert(alert))
 
-    def _receive(self, side: int, data: bytes) -> list:
-        if self.closed:
-            return []
-        inbound = self._planes[side]
+    def _on_record(
+        self, side: int, record: Record, plaintext: bytes | None, events: list
+    ) -> None:
         outbound = self._planes[1 - side]
-        events: list = []
-        try:
-            inbound.feed(data)
-            records = inbound.pop_records()
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for record in records:
-            if self.closed:
-                break
-            try:
-                if record.content_type == ContentType.ALERT:
-                    if self._forward_alert(record, outbound, events):
-                        break
-                    continue
-                if record.content_type == ContentType.HANDSHAKE:
-                    # Still legal after establishment: trailing proxy
-                    # signatures from middleboxes closer to the server pass
-                    # through here; _shadow_handshake rejects anything else.
-                    self._forward_handshake(side, record, outbound, events)
-                    continue
-                if record.content_type == ContentType.APPLICATION_DATA:
-                    if not self.established:
-                        raise ProtocolError(
-                            "application data before handshake completion",
-                            alert="unexpected_message",
-                        )
-                    plaintext = inbound.unprotect(record)
-                    outbound.queue_record(ContentType.APPLICATION_DATA, plaintext)
-                    self.records_forwarded += 1
-                    continue
+        if record.content_type == ContentType.ALERT:
+            encoded = bytes(record.payload)
+            outbound.queue_encoded(
+                Record(content_type=ContentType.ALERT, payload=encoded)
+            )
+            # Unlike the framed inspectors, an alert this hop cannot decode
+            # raises here and aborts the session.
+            self._pass_through(Alert.decode(encoded), events)
+            return
+        if record.content_type == ContentType.HANDSHAKE:
+            # Still legal after establishment: trailing proxy signatures
+            # from middleboxes closer to the server pass through here;
+            # _shadow_handshake rejects anything else.
+            encoded = bytes(record.payload)
+            # Verbatim forwarding first: the endpoints' transcript must see
+            # the exact bytes the other endpoint produced.
+            outbound.queue_encoded(
+                Record(content_type=ContentType.HANDSHAKE, payload=encoded)
+            )
+            buffer = self._handshakes[side]
+            buffer.feed(encoded)
+            for message in buffer.pop_messages():
+                self._shadow_handshake(side, message, outbound)
+            return
+        if record.content_type == ContentType.APPLICATION_DATA:
+            if not self.established:
                 raise ProtocolError(
-                    f"unexpected content type {int(record.content_type)}",
+                    "application data before handshake completion",
                     alert="unexpected_message",
                 )
-            except (ReproError, KeyError, IndexError, ValueError) as exc:
-                self._abort(exc, events)
-                break
-        return events
-
-    def _forward_alert(self, record: Record, outbound: RecordPlane, events: list) -> bool:
-        payload = record.payload
-        encoded = payload if isinstance(payload, bytes) else bytes(payload)
-        outbound.queue_encoded(
-            Record(content_type=ContentType.ALERT, payload=encoded)
+            if plaintext is None:
+                plaintext = self._planes[side].unprotect(record)
+            outbound.queue_record(ContentType.APPLICATION_DATA, plaintext)
+            self.records_forwarded += 1
+            return
+        raise ProtocolError(
+            f"unexpected content type {int(record.content_type)}",
+            alert="unexpected_message",
         )
-        # Unlike the framed inspectors, an alert this hop cannot decode
-        # raises here and aborts the session.
-        return self._pass_through(Alert.decode(encoded), events)
-
-    def _forward_handshake(
-        self, side: int, record: Record, outbound: RecordPlane, events: list
-    ) -> None:
-        payload = record.payload
-        encoded = payload if isinstance(payload, bytes) else bytes(payload)
-        # Verbatim forwarding first: the endpoints' transcript must see the
-        # exact bytes the other endpoint produced.
-        outbound.queue_encoded(
-            Record(content_type=ContentType.HANDSHAKE, payload=encoded)
-        )
-        buffer = self._handshakes[side]
-        buffer.feed(encoded)
-        for message in buffer.pop_messages():
-            self._shadow_handshake(side, message, outbound)
 
     def _shadow_handshake(
         self, side: int, message: Handshake, outbound: RecordPlane

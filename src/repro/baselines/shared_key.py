@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import CryptoError, DecodeError, IntegrityError, ProtocolError
-from repro.io.endpoint import Duplex
+from repro.errors import CryptoError, ProtocolError
+from repro.io.endpoint import RecordDuplex
 from repro.netsim.driver import CpuMeter, DuplexDriver
 from repro.netsim.network import Host, InterceptedFlow
 from repro.tls.ciphersuites import suite_by_code
@@ -117,7 +117,7 @@ class KeySharingMiddlebox:
         return state.protect(ContentType.ALERT, payload)
 
 
-class KeySharingConnection(Duplex):
+class KeySharingConnection(RecordDuplex):
     """Sans-IO duplex splice around a :class:`KeySharingMiddlebox`.
 
     Handshake records are relayed verbatim; once keys arrive, application
@@ -132,34 +132,19 @@ class KeySharingConnection(Duplex):
         super().__init__()
         self.middlebox = middlebox
 
-    def _receive(self, side: int, data: bytes) -> list:
-        if self.closed:
-            return []
-        direction = _DIRECTIONS[side]
-        inbound = self._planes[side]
-        outbound = self._planes[1 - side]
-        events: list = []
-        try:
-            inbound.feed(data)
-            records = inbound.pop_records()
-        except (DecodeError, ProtocolError) as exc:
-            self._abort(exc, events)
-            return events
-        for record in records:
-            if (
-                record.content_type == ContentType.APPLICATION_DATA
-                and self.middlebox.keys_installed
-            ):
-                try:
-                    record = self.middlebox.handle_record(direction, record)
-                except (IntegrityError, CryptoError, DecodeError, ProtocolError) as exc:
-                    # A tampered record: it cannot be forwarded, and the
-                    # shared sequence numbers mean neither can anything
-                    # after it. Alert both sides and tear the splice down.
-                    self._abort(exc, events)
-                    break
-            outbound.queue_encoded(record)
-        return events
+    def _on_record(
+        self, side: int, record: Record, plaintext: bytes | None, events: list
+    ) -> None:
+        if (
+            record.content_type == ContentType.APPLICATION_DATA
+            and self.middlebox.keys_installed
+        ):
+            # A tampered record raises: it cannot be forwarded, and the
+            # shared sequence numbers mean neither can anything after it,
+            # so the receive loop alerts both sides and tears the splice
+            # down.
+            record = self.middlebox.handle_record(_DIRECTIONS[side], record)
+        self._planes[1 - side].queue_encoded(record)
 
     def _send_alert(self, side: int, alert: Alert) -> None:
         """Seal the alert under the shared keys once they have arrived."""

@@ -2,9 +2,10 @@
 
 Both endpoints wrap a primary TLS engine, demultiplex Encapsulated records
 into per-middlebox secondary sessions, hand each joined middlebox its hop
-keys, and run the data plane under their own adjacent hop keys. The
+keys, and run the data plane under their own adjacent hop keys; both
+receive through :class:`~repro.io.endpoint.RecordEndpoint`'s loop. The
 role-specific parts — how a subchannel opens, which hop keys the endpoint
-keeps, how it receives application data — stay in
+keeps, when the session counts as established — stay in
 :class:`~repro.core.client.MbTLSClientEngine` and
 :class:`~repro.core.server.MbTLSServerEngine`.
 """
@@ -19,7 +20,7 @@ from repro.core.config import (
 )
 from repro.core.mux import Subchannel
 from repro.errors import IntegrityError, ProtocolError
-from repro.io.endpoint import Endpoint
+from repro.io.endpoint import RecordEndpoint
 from repro.tls.engine import TLSEngine
 from repro.tls.events import (
     AlertReceived,
@@ -36,7 +37,7 @@ from repro.wire.records import ContentType, Record
 __all__ = ["MbTLSEndpoint"]
 
 
-class MbTLSEndpoint(Endpoint):
+class MbTLSEndpoint(RecordEndpoint):
     """Shared state and plumbing of the two sans-IO mbTLS endpoints."""
 
     def __init__(self, config: MbTLSEndpointConfig, primary: TLSEngine) -> None:
@@ -45,7 +46,6 @@ class MbTLSEndpoint(Endpoint):
         self.primary = primary
         # The plane's read/write states are the endpoint-adjacent hop keys,
         # installed at establishment; before that everything is forwarded raw.
-        self._events: list[Event] = []
         self._secondaries: dict[int, Subchannel] = {}
         self._arrival_order: list[int] = []
         self._middlebox_infos: dict[int, MiddleboxInfo] = {}
@@ -71,24 +71,13 @@ class MbTLSEndpoint(Endpoint):
         self._drain_primary()
 
     def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        alert = Alert.close_notify()
+        """close_notify under the hop keys, else the primary's own close."""
         if self._plane.write_state is not None:
-            self._plane.queue_record(ContentType.ALERT, alert.encode())
-        else:
+            super().close()
+        elif not self.closed:
+            self.closed = True
             self.primary.close()
             self._drain_primary()
-        self._events.append(ConnectionClosed())
-
-    def peer_closed(self) -> list[Event]:
-        """The TCP stream died under us (crash, reset): report cleanly."""
-        if self.closed:
-            return []
-        self.closed = True
-        self._events.append(ConnectionClosed(error="transport closed"))
-        return self._take_events()
 
     @property
     def middleboxes(self) -> tuple[MiddleboxInfo, ...]:
@@ -155,11 +144,6 @@ class MbTLSEndpoint(Endpoint):
 
     # ------------------------------------------------------------ internals
 
-    def _take_events(self) -> list[Event]:
-        events = self._events
-        self._events = []
-        return events
-
     def _send_app_now(self, data: bytes) -> None:
         if self._plane.write_state is not None:
             self._plane.queue_application_data(data)
@@ -193,7 +177,11 @@ class MbTLSEndpoint(Endpoint):
         obs.counter("alerts_sent", origin=self.origin_label, alert=name).inc()
         obs.tracer().end(self._session_span, error=name)
 
-    def _process_record(self, record: Record) -> None:
+    def _on_record(self, record: Record, plaintext: bytes | None) -> None:
+        if plaintext is not None:
+            # One of a batch-opened run of hop-protected application data.
+            self._events.append(ApplicationData(data=plaintext))
+            return
         if record.content_type == ContentType.MBTLS_ENCAPSULATED:
             self._process_encapsulated(EncapsulatedRecord.from_record(record))
             return
@@ -335,6 +323,9 @@ class MbTLSEndpoint(Endpoint):
 
     def _on_bypass(self, sub: Subchannel) -> None:
         """A pending subchannel was just excluded (nothing by default)."""
+
+    def _after_records(self) -> None:
+        self._check_established()
 
     def _check_established(self) -> None:
         raise NotImplementedError

@@ -224,42 +224,17 @@ class MbTLSMiddlebox:
                 # buffer bound tripped: abort rather than buffer forever.
                 self._abort(AlertDescription.from_name(exc.alert), str(exc))
                 records = []
-            index = 0
-            total = len(records)
-            while index < total:
+            for record, plaintext in plane.open_runs(records, self._can_batch_data):
                 if self.closed:
                     break
-                record = records[index]
                 if self.mode == self.MODE_RELAY:
                     self._planes[1 - side].queue_encoded(record)
-                    index += 1
                     continue
-                if (
-                    record.content_type == ContentType.APPLICATION_DATA
-                    and self._can_batch_data()
-                ):
-                    # A run of application data in the steady state shares
-                    # one unprotect_many (batched AEAD, pool-eligible).
-                    end = index + 1
-                    while (
-                        end < total
-                        and records[end].content_type
-                        == ContentType.APPLICATION_DATA
-                    ):
-                        end += 1
-                    if end - index > 1:
-                        try:
-                            self._data_plane_many(side, records[index:end])
-                        except (DecodeError, IntegrityError, CryptoError):
-                            pass
-                        except ProtocolError as exc:
-                            self._abort(
-                                AlertDescription.from_name(exc.alert), str(exc)
-                            )
-                        index = end
-                        continue
                 try:
-                    self._process(side, record)
+                    if plaintext is None:
+                        self._process(side, record)
+                    else:
+                        self._relay_data(side, plaintext)
                 except (DecodeError, IntegrityError, CryptoError):
                     # A corrupted record inside otherwise-valid framing
                     # (malformed Encapsulated wrapper, garbage key
@@ -269,7 +244,6 @@ class MbTLSMiddlebox:
                     pass
                 except ProtocolError as exc:
                     self._abort(AlertDescription.from_name(exc.alert), str(exc))
-                index += 1
         events = self._events
         self._events = []
         return events
@@ -654,41 +628,6 @@ class MbTLSMiddlebox:
             and not self.gave_up
         )
 
-    def _data_plane_many(self, from_side: int, records: list[Record]) -> None:
-        """Decrypt a run of application data in one batched call.
-
-        ``unprotect_many`` is all-or-nothing — on any failure no sequence
-        number is consumed, so replaying the run through the per-record
-        path reproduces the serial semantics exactly (valid prefix
-        forwarded, the bad record dropped or aborted per policy).
-        """
-        plane = self._planes[from_side]
-        try:
-            plaintexts = plane.unprotect_many(records)
-        except (IntegrityError, CryptoError):
-            for record in records:
-                if self.closed:
-                    return
-                try:
-                    self._data_plane(from_side, record)
-                except (DecodeError, IntegrityError, CryptoError):
-                    continue  # same per-record drop as the serial loop
-            return
-        direction = "c2s" if from_side == _DOWN else "s2c"
-        counted = obs.counter(
-            "records_processed", party=self.config.name, direction=direction
-        )
-        out_plane = self._planes[1 - from_side]
-        for plaintext in plaintexts:
-            if self.closed:
-                return
-            plaintext = self._run_app(direction, plaintext)
-            self.records_processed += 1
-            counted.inc()
-            if plaintext is None:
-                continue  # the application consumed the chunk
-            out_plane.queue_record(ContentType.APPLICATION_DATA, plaintext)
-
     def _data_plane(self, from_side: int, record: Record) -> None:
         if self.rejected or self.gave_up:
             self._forward(from_side, record)
@@ -696,7 +635,6 @@ class MbTLSMiddlebox:
         if not self.keys_installed:
             self._pending[0 if from_side == _DOWN else 1].append(record)
             return
-        direction = "c2s" if from_side == _DOWN else "s2c"
         try:
             plaintext = self._planes[from_side].unprotect(record)
         except IntegrityError as exc:
@@ -710,15 +648,20 @@ class MbTLSMiddlebox:
         if record.content_type == ContentType.ALERT:
             self._propagate_alert(from_side, plaintext)
             return
-        if record.content_type == ContentType.APPLICATION_DATA:
-            plaintext = self._run_app(direction, plaintext)
-            self.records_processed += 1
-            obs.counter(
-                "records_processed", party=self.config.name, direction=direction
-            ).inc()
-            if plaintext is None:
-                return  # the application consumed the chunk
-        self._planes[1 - from_side].queue_record(record.content_type, plaintext)
+        self._relay_data(from_side, plaintext)
+
+    def _relay_data(self, from_side: int, plaintext: bytes) -> None:
+        """Run one opened application-data record through the app and on."""
+        direction = "c2s" if from_side == _DOWN else "s2c"
+        plaintext = self._run_app(direction, plaintext)
+        self.records_processed += 1
+        obs.counter(
+            "records_processed", party=self.config.name, direction=direction
+        ).inc()
+        if plaintext is not None:  # None: the application consumed the chunk
+            self._planes[1 - from_side].queue_record(
+                ContentType.APPLICATION_DATA, plaintext
+            )
 
     def _propagate_alert(self, from_side: int, plaintext: bytes) -> None:
         """Re-protect an authenticated alert onto the next hop, and on a

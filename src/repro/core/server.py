@@ -22,11 +22,11 @@ from repro.core.endpoint import MbTLSEndpoint
 from repro.core.keys import build_hop_chain, bridge_hop_keys, hop_states_for_endpoint
 from repro.core.mux import Subchannel
 from repro import obs
-from repro.errors import DecodeError, IntegrityError, ProtocolError
+from repro.errors import DecodeError, ProtocolError
 from repro.tls.ciphersuites import suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
-from repro.tls.events import AnnouncementReceived, Event
+from repro.tls.events import AnnouncementReceived
 from repro.wire.mbtls import EncapsulatedRecord, MiddleboxAnnouncement
 
 __all__ = ["MbTLSServerEngine"]
@@ -44,20 +44,6 @@ class MbTLSServerEngine(MbTLSEndpoint):
         self._pending_app_data: list[bytes] = []
 
     # ------------------------------------------------------------------ API
-
-    def receive_bytes(self, data: bytes) -> list[Event]:
-        if self.closed:
-            return []
-        try:
-            self._plane.feed(data)
-            for record in self._plane.pop_records():
-                self._process_record(record)
-            self._check_established()
-        except (IntegrityError, ProtocolError) as exc:
-            # Unparseable or forged input on the primary stream: answer with
-            # a fatal alert on whatever plane is live, then shut down.
-            self._abort(exc, self._events)
-        return self._take_events()
 
     def send_application_data(self, data: bytes) -> None:
         if self.closed:

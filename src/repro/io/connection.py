@@ -25,9 +25,14 @@ The contract (enforced by ``tests/test_connection_contract.py``):
 * a hostile record or frame draws exactly one fatal alert per live side,
   attributed like ``abort``, and then the party is closed and silent.
 
-:mod:`repro.io.endpoint` implements the alert / abort / close part of this
-contract once, as the :class:`~repro.io.endpoint.Endpoint` and
-:class:`~repro.io.endpoint.Duplex` bases most parties inherit.
+:mod:`repro.io.endpoint` implements the receive loop and the alert / abort
+/ close part of this contract once, as the :class:`~repro.io.endpoint.Endpoint`
+and :class:`~repro.io.endpoint.Duplex` bases. Every party inherits them
+except split TLS and the mbTLS middlebox, which still carry their own close
+and abort plumbing; the record-layer parties receive through
+:class:`~repro.io.endpoint.RecordEndpoint` / :class:`~repro.io.endpoint.RecordDuplex`,
+which open each run of application data in one batch and replay it record
+by record if the batch fails.
 
 This module also owns the shared pumps:
 

@@ -8,17 +8,23 @@ closes. This module owns that logic once:
 * :class:`Endpoint` — a :class:`~repro.io.Connection` skeleton:
   once-only ``start``, ``closed`` / ``abort`` as plain attributes (drivers
   read ``closed`` on every flush), idempotent ``close`` / ``peer_closed``,
-  ``_abort`` and inbound-alert handling;
+  ``_abort``, inbound-alert handling, and the one ``receive_bytes``: it
+  hands the bytes to the subclass's ``_consume`` and answers anything in
+  ``_RECORD_ERRORS`` that escapes with exactly one ``_abort``;
 * :class:`Duplex` — a :class:`~repro.io.DuplexConnection` skeleton: one
   outbox per segment, ``peer_closed_down/up``, the abort toward both
-  segments, and fatal-alert pass-through.
+  segments, fatal-alert pass-through, and the same guarded receive per
+  segment.
 
-The bases vary in one thing only: how an alert (or, for endpoints, the
-close) goes on the wire. Subclasses supply it as ``_send_alert`` — a TLS
-alert record through their :class:`~repro.io.RecordPlane`, or an
-:mod:`repro.io.framing` frame. :class:`FramedEndpoint` and
-:class:`FramedDuplex` are that method plus the frame receive loop the
-framed baselines (mcTLS, BlindBox) share.
+The bases vary in two things: how an alert (or, for endpoints, the close)
+goes on the wire, ``_send_alert``, and how inbound bytes split into units,
+``_consume``. :class:`RecordEndpoint` and :class:`RecordDuplex` consume TLS
+records through their :class:`~repro.io.RecordPlane`, which opens each run
+of application data in one batch (:meth:`RecordPlane.open_runs`) and hands
+every record to ``_on_record``; the TLS engines, the mbTLS endpoints,
+mdTLS and the key-sharing splice build on them. :class:`FramedEndpoint`
+and :class:`FramedDuplex` consume :mod:`repro.io.framing` frames for the
+framed baselines (mcTLS, BlindBox).
 """
 
 from __future__ import annotations
@@ -41,12 +47,15 @@ from repro.io.framing import (
 from repro.io.record_plane import RecordPlane
 from repro.tls.events import AlertReceived, ApplicationData, ConnectionClosed
 from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.records import ContentType, Record
 
 __all__ = [
     "Duplex",
     "Endpoint",
     "FramedDuplex",
     "FramedEndpoint",
+    "RecordDuplex",
+    "RecordEndpoint",
     "alert_for",
 ]
 
@@ -113,18 +122,47 @@ class _Party:
 
 
 class Endpoint(_Party):
-    """Contract plumbing for a sans-IO endpoint; ``_plane`` is its outbox."""
+    """Contract plumbing for a sans-IO endpoint; ``_plane`` is its outbox.
+
+    Handlers append the events they cause to ``_events``; ``receive_bytes``
+    returns them.
+    """
 
     def __init__(self) -> None:
         super().__init__()
         self._plane = RecordPlane()
+        self._events: list = []
+        self.alert_sent: Alert | None = None
+        self.alert_received: Alert | None = None
 
     def _send_alert(self, alert: Alert) -> None:
         """Put ``alert`` on the wire (``close`` sends a close_notify)."""
         raise NotImplementedError
 
     def _send_fatal(self, alert: Alert) -> None:
+        self.alert_sent = alert
         self._send_alert(alert)
+
+    def _consume(self, data: bytes) -> None:
+        """Split inbound bytes into units and act on each; raising aborts."""
+        raise NotImplementedError
+
+    def receive_bytes(self, data: bytes) -> list:
+        if self.closed:
+            return []
+        try:
+            self._consume(data)
+        except _RECORD_ERRORS as exc:
+            # A forged, truncated or unreadable record or frame: answer
+            # with one fatal alert and close.
+            if not self.closed:
+                self._abort(exc, self._events)
+        return self._take_events()
+
+    def _take_events(self) -> list:
+        events = self._events
+        self._events = []
+        return events
 
     def data_to_send(self) -> bytes:
         return self._plane.data_to_send()
@@ -133,7 +171,8 @@ class Endpoint(_Party):
         if self.closed:
             return
         self.closed = True
-        self._send_alert(Alert.close_notify())
+        self.alert_sent = Alert.close_notify()
+        self._send_alert(self.alert_sent)
 
     def peer_closed(self) -> list:
         if self.closed:
@@ -144,10 +183,10 @@ class Endpoint(_Party):
     def _handle_alert(self, payload, events: list) -> bool:
         """Act on an inbound alert; True if it ended the connection.
 
-        A payload that does not decode raises :class:`DecodeError`; the
-        caller's receive loop answers it with :meth:`_abort`.
+        A payload that does not decode raises :class:`DecodeError`, which
+        the receive loop answers with :meth:`_abort`.
         """
-        alert = Alert.decode(bytes(payload))
+        alert = self.alert_received = Alert.decode(bytes(payload))
         events.append(AlertReceived(alert=alert))
         if alert.is_close:
             self.closed = True
@@ -163,7 +202,8 @@ class Duplex(_Party):
     """Contract plumbing for a sans-IO element between two TCP segments.
 
     ``_planes[DOWN]`` and ``_planes[UP]`` are the outboxes toward the client
-    and the server; subclasses implement ``_receive(side, data)``.
+    and the server; subclasses split inbound bytes with
+    ``_consume(side, data, events)``.
     """
 
     def __init__(self) -> None:
@@ -178,8 +218,22 @@ class Duplex(_Party):
         for side in (DOWN, UP):
             self._send_alert(side, alert)
 
-    def _receive(self, side: int, data: bytes) -> list:
+    def _consume(self, side: int, data: bytes, events: list) -> None:
+        """Act on bytes arriving on segment ``side``; raising aborts."""
         raise NotImplementedError
+
+    def _receive(self, side: int, data: bytes) -> list:
+        if self.closed:
+            return []
+        events: list = []
+        try:
+            self._consume(side, data, events)
+        except _RECORD_ERRORS as exc:
+            # What this hop could check failed the check: originate a
+            # fatal alert toward both segments.
+            if not self.closed:
+                self._abort(exc, events)
+        return events
 
     def receive_down(self, data: bytes) -> list:
         return self._receive(DOWN, data)
@@ -213,6 +267,59 @@ class Duplex(_Party):
         return True
 
 
+class RecordEndpoint(Endpoint):
+    """An endpoint speaking TLS records through its :class:`RecordPlane`.
+
+    Subclasses act on one record with ``_on_record(record, plaintext)``:
+    ``plaintext`` is the record already opened in a batch-opened run (see
+    :meth:`RecordPlane.open_runs`), or None, and then the subclass opens
+    the record itself. ``_after_records`` runs once the whole flight is
+    handled.
+    """
+
+    def _send_alert(self, alert: Alert) -> None:
+        try:
+            self._plane.queue_record(ContentType.ALERT, alert.encode())
+        except ProtocolError:
+            pass  # the outbox is full; the party still closes
+
+    def _consume(self, data: bytes) -> None:
+        plane = self._plane
+        plane.feed(data)
+        for record, plaintext in plane.open_runs(plane.pop_records()):
+            if self.closed:
+                return
+            self._on_record(record, plaintext)
+        if not self.closed:
+            self._after_records()
+
+    def _on_record(self, record: Record, plaintext) -> None:
+        raise NotImplementedError
+
+    def _after_records(self) -> None:
+        """Run once a flight's records are all handled (nothing by default)."""
+
+
+class RecordDuplex(Duplex):
+    """A duplex element speaking TLS records on both segments.
+
+    Subclasses act on one record arriving on ``side`` with
+    ``_on_record(side, record, plaintext, events)``, ``plaintext`` as for
+    :class:`RecordEndpoint`.
+    """
+
+    def _consume(self, side: int, data: bytes, events: list) -> None:
+        plane = self._planes[side]
+        plane.feed(data)
+        for record, plaintext in plane.open_runs(plane.pop_records()):
+            if self.closed:
+                return
+            self._on_record(side, record, plaintext, events)
+
+    def _on_record(self, side: int, record: Record, plaintext, events: list) -> None:
+        raise NotImplementedError
+
+
 class FramedEndpoint(Endpoint):
     """An endpoint speaking :mod:`repro.io.framing` frames.
 
@@ -230,34 +337,19 @@ class FramedEndpoint(Endpoint):
         """The plaintext one data frame carries; raising aborts."""
         raise NotImplementedError
 
-    def receive_bytes(self, data: bytes) -> list:
-        if self.closed:
-            return []
+    def _consume(self, data: bytes) -> None:
         self._buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(self._buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
+        events = self._events
+        for kind, payload in pop_frames(self._buffer):
             if kind == FRAME_CLOSE:
                 self.closed = True
                 events.append(ConnectionClosed())
-                break
-            try:
-                if kind == FRAME_ALERT:
-                    if self._handle_alert(payload, events):
-                        break
-                    continue
-                plaintext = self._open(payload)
-            except _RECORD_ERRORS as exc:
-                # A forged, truncated or unreadable frame: answer with a
-                # fatal alert and close.
-                self._abort(exc, events)
-                break
-            events.append(ApplicationData(data=plaintext))
-        return events
+                return
+            if kind == FRAME_ALERT:
+                if self._handle_alert(payload, events):
+                    return
+                continue
+            events.append(ApplicationData(data=self._open(payload)))
 
 
 class FramedDuplex(Duplex):
@@ -278,19 +370,11 @@ class FramedDuplex(Duplex):
         """Look at one data frame arriving on ``side``; raising aborts."""
         raise NotImplementedError
 
-    def _receive(self, side: int, data: bytes) -> list:
-        if self.closed:
-            return []
+    def _consume(self, side: int, data: bytes, events: list) -> None:
         buffer = self._buffers[side]
         outbound = self._planes[1 - side]
         buffer += data
-        events: list = []
-        try:
-            frames = pop_frames(buffer)
-        except ReproError as exc:
-            self._abort(exc, events)
-            return events
-        for kind, payload in frames:
+        for kind, payload in pop_frames(buffer):
             if kind == FRAME_CLOSE:
                 outbound.queue_raw(close_frame())
                 continue
@@ -301,14 +385,7 @@ class FramedDuplex(Duplex):
                 except ReproError:
                     continue
                 if self._pass_through(alert, events):
-                    break
+                    return
                 continue
-            try:
-                self._inspect(side, payload)
-            except _RECORD_ERRORS as exc:
-                # A frame this hop could verify failed verification:
-                # originate a fatal alert toward both segments.
-                self._abort(exc, events)
-                break
+            self._inspect(side, payload)
             outbound.queue_raw(frame(payload))
-        return events

@@ -20,7 +20,7 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro import obs
-from repro.errors import ProtocolError
+from repro.errors import CryptoError, ProtocolError
 from repro.wire.records import (
     CONTENT_TYPES,
     ContentType,
@@ -186,6 +186,43 @@ class RecordPlane:
             counted.inc()
             size.inc(len(plaintext))
         return plaintexts
+
+    def open_runs(self, records: list[Record], batch=None):
+        """Yield ``(record, plaintext)`` for each record, in order.
+
+        A run of two or more consecutive application-data records is opened
+        with one :meth:`unprotect_many` (batched AEAD, pool-eligible) when
+        the read state opens all-or-nothing and ``batch()``, asked at the
+        run's first record, allows it. Every other record comes with
+        ``plaintext=None``: the caller opens it itself. A run whose batch
+        fails consumed no sequence number, so it is replayed with ``None``
+        plaintexts and the caller's per-record path delivers the valid
+        prefix and answers the bad record exactly as serial feeding would.
+        """
+        total = len(records)
+        index = 0
+        while index < total:
+            end = index + 1
+            if (
+                records[index].content_type == ContentType.APPLICATION_DATA
+                and hasattr(self.read_state, "unprotect_many")
+                and (batch is None or batch())
+            ):
+                while (
+                    end < total
+                    and records[end].content_type == ContentType.APPLICATION_DATA
+                ):
+                    end += 1
+            if end - index > 1:
+                run = records[index:end]
+                try:
+                    plaintexts = self.unprotect_many(run)
+                except CryptoError:
+                    plaintexts = [None] * len(run)
+                yield from zip(run, plaintexts)
+            else:
+                yield records[index], None
+            index = end
 
     def activate_pending_read(self) -> None:
         """ChangeCipherSpec arrived: flip to the staged read state."""

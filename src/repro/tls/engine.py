@@ -19,7 +19,7 @@ from enum import Enum, auto
 from repro import obs
 from repro.crypto.dh import DHGroup, DHPrivateKey, modp_group
 from repro.crypto.x25519 import X25519PrivateKey
-from repro.io.record_plane import RecordPlane
+from repro.io.endpoint import RecordEndpoint
 from repro.errors import (
     AttestationError,
     CertificateError,
@@ -27,15 +27,12 @@ from repro.errors import (
     HandshakeError,
     IntegrityError,
     ProtocolError,
-    SessionAborted,
 )
 from repro.pki.certificate import Certificate as PkiCertificate
 from repro.tls.ciphersuites import CipherSuite, KeyExchange, suite_by_code
 from repro.tls.config import TLSConfig
 from repro.tls.events import (
-    AlertReceived,
     ApplicationData,
-    ConnectionClosed,
     Event,
     HandshakeComplete,
     RawRecordReceived,
@@ -43,13 +40,14 @@ from repro.tls.events import (
 )
 from repro.tls.keyschedule import (
     KeyBlock,
+    agree_pre_master,
     derive_key_block,
     derive_master_secret,
     finished_verify_data,
 )
 from repro.tls.record_layer import ConnectionState
 from repro.tls.session import SessionState
-from repro.wire.alerts import Alert, AlertDescription
+from repro.wire.alerts import AlertDescription
 from repro.wire.extensions import (
     AttestationRequestExtension,
     Extension,
@@ -95,21 +93,26 @@ class _State(Enum):
     WAIT_CLIENT_FINISHED = auto()
     # both
     ESTABLISHED = auto()
-    CLOSED = auto()
 
 
-class TLSEngine:
-    """Shared machinery for both TLS roles."""
+class TLSEngine(RecordEndpoint):
+    """Shared machinery for both TLS roles.
+
+    The receive loop, the alert/abort/close plumbing and the batched opens
+    of application data come from :class:`~repro.io.endpoint.RecordEndpoint`;
+    this class adds the handshake, the per-record dispatch and the
+    engine's observability (``alerts_sent``/``alerts_received`` counters,
+    the ``handshake.tls`` span).
+    """
 
     is_client: bool
 
     def __init__(self, config: TLSConfig) -> None:
+        super().__init__()
         self.config = config
-        self._plane = RecordPlane()
         self._handshakes = HandshakeBuffer()
         self._transcript: list[bytes] = []
         self._state = _State.START
-        self._events: list[Event] = []
         self.suite: CipherSuite | None = None
         self.master_secret: bytes | None = None
         self.key_block: KeyBlock | None = None
@@ -119,13 +122,9 @@ class TLSEngine:
         self.peer_certificate: PkiCertificate | None = None
         self.attested_measurement: bytes | None = None
         self.resumed = False
-        self.alert_sent: Alert | None = None
-        self.alert_received: Alert | None = None
-        # Alert-plane attribution: ``origin_label`` names this party in any
-        # fatal alert it originates; ``abort`` records why a fatal alert
-        # (sent or received) tore the session down.
+        # ``origin_label`` names this party in any fatal alert it
+        # originates (see DESIGN.md §9).
         self.origin_label = ""
-        self.abort: SessionAborted | None = None
         self._hs_span = None
 
     @property
@@ -155,7 +154,7 @@ class TLSEngine:
 
     @property
     def handshake_complete(self) -> bool:
-        return self._state == _State.ESTABLISHED
+        return self._state == _State.ESTABLISHED and not self.closed
 
     @property
     def first_transcript_message(self) -> bytes:
@@ -165,38 +164,13 @@ class TLSEngine:
             raise ProtocolError("transcript is empty")
         return self._transcript[0]
 
-    @property
-    def closed(self) -> bool:
-        return self._state == _State.CLOSED
-
-    def start(self) -> None:
+    def _on_start(self) -> None:
         """Kick off the handshake (client sends its hello; server waits)."""
         raise NotImplementedError
 
-    def data_to_send(self) -> bytes:
-        """Drain the pending flight in one coalesced buffer."""
-        return self._plane.data_to_send()
-
-    def receive_bytes(self, data: bytes) -> list[Event]:
-        """Feed transport bytes; returns the protocol events they caused."""
-        if self._state == _State.CLOSED:
-            return []
-        try:
-            self._plane.feed(data)
-            self._process_records(self._plane.pop_records())
-        except IntegrityError:
-            self._fatal(AlertDescription.BAD_RECORD_MAC, "record authentication failed")
-        except ProtocolError as exc:
-            # Decode, certificate, attestation and handshake errors are all
-            # ProtocolErrors carrying the name of the alert they map to.
-            self._fatal(AlertDescription.from_name(exc.alert), str(exc))
-        events = self._events
-        self._events = []
-        return events
-
     def send_application_data(self, data: bytes) -> None:
         """Queue application data (only valid once established)."""
-        if self._state == _State.CLOSED:
+        if self.closed:
             raise ProtocolError("cannot send application data on a closed connection")
         if self._state != _State.ESTABLISHED:
             raise ProtocolError("cannot send application data before handshake")
@@ -208,18 +182,9 @@ class TLSEngine:
         The mbTLS layer sends MBTLSKeyMaterial records through established
         secondary sessions this way.
         """
-        if self._state != _State.ESTABLISHED:
+        if not self.handshake_complete:
             raise ProtocolError("cannot send raw records before handshake")
         self._send_record(content_type, payload)
-
-    def close(self) -> None:
-        """Send close_notify and shut the connection down."""
-        if self._state not in (_State.CLOSED,):
-            alert = Alert.close_notify()
-            self._send_record(ContentType.ALERT, alert.encode())
-            self.alert_sent = alert
-            self._state = _State.CLOSED
-            self._emit(ConnectionClosed())
 
     def send_fatal_alert(
         self, description: AlertDescription, message: str
@@ -229,9 +194,8 @@ class TLSEngine:
         Splicing middleboxes (split TLS) use this to propagate a teardown
         from one segment's session onto the other's.
         """
-        self._fatal(description, message)
-        events = self._events
-        self._events = []
+        events: list[Event] = []
+        self._abort(ProtocolError(message, alert=description.name.lower()), events)
         return events
 
     def export_key_block(self) -> tuple[CipherSuite, KeyBlock]:
@@ -252,40 +216,28 @@ class TLSEngine:
         """Swap record-protection states (mbTLS per-hop key installation)."""
         self._plane.replace_states(read_state, write_state)
 
-    def peer_closed(self) -> list[Event]:
-        """The transport died under us; returns the resulting events."""
-        if self._state == _State.CLOSED:
-            return []
-        self._state = _State.CLOSED
-        self._emit(ConnectionClosed(error="transport closed"))
-        events = self._events
-        self._events = []
-        return events
-
     # ------------------------------------------------------------ internals
 
     def _emit(self, event: Event) -> None:
         self._events.append(event)
 
-    def _fatal(self, description: AlertDescription, message: str) -> None:
-        if self._state == _State.CLOSED:
-            return
-        alert = Alert.fatal(description, origin=self.origin_label)
-        try:
-            self._send_record(ContentType.ALERT, alert.encode())
-        except ProtocolError:
-            pass
-        self.alert_sent = alert
-        self._state = _State.CLOSED
-        name = description.name.lower()
+    def _abort(self, exc: Exception, events: list) -> None:
+        if isinstance(exc, IntegrityError):
+            exc = IntegrityError("record authentication failed")
+        super()._abort(exc, events)
+        name = self.abort.alert
         obs.counter("alerts_sent", origin=self._obs_party(), alert=name).inc()
         obs.tracer().end(self._hs_span, error=name)
-        self.abort = SessionAborted(message, origin=self.origin_label, alert=name)
-        self._emit(
-            ConnectionClosed(
-                error=f"{name}: {message}", alert=name, origin=self.origin_label
-            )
-        )
+
+    def _handle_alert(self, payload, events: list) -> bool:
+        ended = super()._handle_alert(payload, events)
+        alert = self.alert_received
+        obs.counter(
+            "alerts_received", party=self._obs_party(),
+            origin=alert.origin or "unknown",
+            alert=alert.description.name.lower(),
+        ).inc()
+        return ended
 
     def _send_record(self, content_type: ContentType, payload: bytes) -> None:
         self._plane.queue_record(content_type, payload)
@@ -303,45 +255,7 @@ class TLSEngine:
     def _transcript_hash(self) -> bytes:
         return hashlib.sha256(b"".join(self._transcript)).digest()
 
-    def _process_records(self, records: list[Record]) -> None:
-        """Process a flight, batch-decrypting runs of application data.
-
-        Consecutive application-data records share one ``unprotect_many``
-        call; on a batch failure we replay that run per record so the
-        valid prefix still produces its events before the alert fires.
-        """
-        total = len(records)
-        index = 0
-        plane = self._plane
-        while index < total:
-            record = records[index]
-            if (
-                record.content_type == ContentType.APPLICATION_DATA
-                and hasattr(plane.read_state, "unprotect_many")
-            ):
-                end = index + 1
-                while (
-                    end < total
-                    and records[end].content_type == ContentType.APPLICATION_DATA
-                ):
-                    end += 1
-                if end - index > 1:
-                    batch = records[index:end]
-                    try:
-                        payloads = plane.unprotect_many(batch)
-                    except IntegrityError:
-                        for item in batch:
-                            self._process_record(item)
-                        index = end
-                        continue
-                    for item, payload in zip(batch, payloads):
-                        self._process_record(item, payload)
-                    index = end
-                    continue
-            self._process_record(record)
-            index += 1
-
-    def _process_record(self, record: Record, payload: bytes | None = None) -> None:
+    def _on_record(self, record: Record, payload: bytes | None) -> None:
         if payload is None:
             payload = self._plane.unprotect(record)
 
@@ -362,26 +276,7 @@ class TLSEngine:
             return
 
         if record.content_type == ContentType.ALERT:
-            alert = Alert.decode(payload)
-            self.alert_received = alert
-            obs.counter(
-                "alerts_received", party=self._obs_party(),
-                origin=alert.origin or "unknown",
-                alert=alert.description.name.lower(),
-            ).inc()
-            self._emit(AlertReceived(alert=alert))
-            if alert.is_fatal or alert.is_close:
-                self._state = _State.CLOSED
-                if alert.is_close:
-                    self._emit(ConnectionClosed())
-                else:
-                    name = alert.description.name.lower()
-                    self.abort = SessionAborted(
-                        f"peer sent fatal {name}", origin=alert.origin, alert=name
-                    )
-                    self._emit(
-                        ConnectionClosed(error=name, alert=name, origin=alert.origin)
-                    )
+            self._handle_alert(payload, self._events)
             return
 
         if record.content_type == ContentType.APPLICATION_DATA:
@@ -506,9 +401,7 @@ class TLSClientEngine(TLSEngine):
         self._attestation_seen = False
         self._pending_ticket: bytes | None = None
 
-    def start(self) -> None:
-        if self._state != _State.START:
-            raise ProtocolError("handshake already started")
+    def _on_start(self) -> None:
         self._begin_handshake_span()
         if self.config.preset_client_hello is not None:
             self._start_from_preset()
@@ -685,13 +578,13 @@ class TLSClientEngine(TLSEngine):
         if kex.algorithm == KexAlgorithm.ECDHE_X25519:
             server_public = kex.parse_ecdhe_public()
             private = X25519PrivateKey(self.config.rng.random_bytes(32))
-            pre_master = private.exchange(server_public)
+            pre_master = agree_pre_master(private, server_public)
             exchange_data = private.public_bytes
         else:
             p, g, server_public = kex.parse_dhe_params()
             group = DHGroup(p=p, g=g)
             private = DHPrivateKey(group, self.config.rng)
-            pre_master = private.exchange(server_public)
+            pre_master = agree_pre_master(private, server_public)
             exchange_data = private.public_value.to_bytes(group.byte_length, "big")
 
         self.config.report_secret("pre_master_secret", pre_master)
@@ -764,9 +657,7 @@ class TLSServerEngine(TLSEngine):
         self._session_id: bytes = b""
         self._announcement_seen = False
 
-    def start(self) -> None:
-        if self._state != _State.START:
-            raise ProtocolError("handshake already started")
+    def _on_start(self) -> None:
         self._begin_handshake_span()
         self._state = _State.WAIT_CLIENT_HELLO
 
@@ -898,11 +789,10 @@ class TLSServerEngine(TLSEngine):
             )
         kex = ClientKeyExchange.decode_body(message.body)
         self._transcript.append(message.encode())
-        if self.suite.key_exchange == KeyExchange.ECDHE_RSA:
-            pre_master = self._kex_private.exchange(kex.exchange_data)
-        else:
-            peer_public = int.from_bytes(kex.exchange_data, "big")
-            pre_master = self._kex_private.exchange(peer_public)
+        peer_share = kex.exchange_data
+        if self.suite.key_exchange != KeyExchange.ECDHE_RSA:
+            peer_share = int.from_bytes(peer_share, "big")
+        pre_master = agree_pre_master(self._kex_private, peer_share)
         self.config.report_secret("pre_master_secret", pre_master)
         self.master_secret = derive_master_secret(
             pre_master, self.client_random, self.server_random

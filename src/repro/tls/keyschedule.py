@@ -5,9 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.kdf import prf
+from repro.errors import CryptoError, HandshakeError
 from repro.tls.ciphersuites import CipherSuite
 
-__all__ = ["KeyBlock", "derive_master_secret", "derive_key_block", "finished_verify_data"]
+__all__ = [
+    "KeyBlock",
+    "agree_pre_master",
+    "derive_master_secret",
+    "derive_key_block",
+    "finished_verify_data",
+]
 
 MASTER_SECRET_LENGTH = 48
 VERIFY_DATA_LENGTH = 12
@@ -21,6 +28,19 @@ class KeyBlock:
     server_write_key: bytes
     client_write_iv: bytes
     server_write_iv: bytes
+
+
+def agree_pre_master(private, peer_share) -> bytes:
+    """The pre-master secret ``private.exchange(peer_share)`` agrees on.
+
+    A share the exchange rejects (an X25519 share of the wrong length or
+    one giving the all-zero secret, RFC 7748 §6.1; a DHE value outside
+    2..p-2) is the peer's illegal parameter, answered with that alert.
+    """
+    try:
+        return private.exchange(peer_share)
+    except CryptoError as exc:
+        raise HandshakeError(str(exc), alert="illegal_parameter") from exc
 
 
 def derive_master_secret(

@@ -13,6 +13,8 @@ in ``repro/io/connection.py``:
 * sending application data on a closed connection raises ``ProtocolError``;
 * a hostile record or frame draws exactly one fatal alert per live side,
   attributed like ``abort``, and leaves the party closed and silent;
+* a key share the exchange rejects draws one fatal ``illegal_parameter``
+  from the party that received it, and nothing escapes the parties;
 * the same DRBG seed yields byte-identical wire transcripts (golden hashes
   captured before the record-plane refactor).
 """
@@ -41,12 +43,15 @@ from repro.baselines.mdtls import MdTLSDeployment
 from repro.baselines.relay import SpliceRelay
 from repro.baselines.shared_key import KeySharingConnection, KeySharingMiddlebox
 from repro.baselines.split_tls import SplitTLSMiddlebox
+from repro.bench import fuzzing
 from repro.bench.scenarios import Pki
 from repro.core.client import MbTLSClientEngine
 from repro.core.config import MbTLSEndpointConfig, MiddleboxConfig, MiddleboxRole
 from repro.core.middlebox import MbTLSMiddlebox
 from repro.core.server import MbTLSServerEngine
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.dh import DHPrivateKey, modp_group
+from repro.crypto.x25519 import X25519PrivateKey
 from repro.errors import (
     AttestationError,
     CertificateError,
@@ -65,12 +70,16 @@ from repro.io import (
     pop_frames,
     pump,
 )
+from repro.io import HopChain
 from repro.io.endpoint import alert_for
+from repro.tls.ciphersuites import TLS_DHE_RSA_WITH_AES_128_GCM_SHA256
 from repro.tls.config import TLSConfig
 from repro.tls.engine import TLSClientEngine, TLSServerEngine
+from repro.tls.keyschedule import agree_pre_master
 from repro.tls.events import AlertReceived, ConnectionClosed
 from repro.wire.alerts import Alert
-from repro.wire.records import ContentType, RecordBuffer
+from repro.wire.handshake import ClientKeyExchange, Handshake, HandshakeType
+from repro.wire.records import ContentType, Record, RecordBuffer
 
 # ---------------------------------------------------------------------------
 # Factories
@@ -479,6 +488,125 @@ def test_hostile_input_aborts_with_one_attributed_alert(make_pair, make_duplex, 
         _abort_endpoint(make_pair, name)
     else:
         _abort_duplex(make_duplex, name)
+
+
+# ---------------------------------------------------------------------------
+# A rejected key share: one attributed illegal_parameter, nothing escapes
+# ---------------------------------------------------------------------------
+
+_DHE_ONLY = (TLS_DHE_RSA_WITH_AES_128_GCM_SHA256.code,)
+
+
+def _dhe_tls_chain(pki, rng) -> HopChain:
+    client = TLSClientEngine(
+        TLSConfig(
+            rng=rng.fork(b"cli"), trust_store=pki.trust, server_name="server",
+            cipher_suites=_DHE_ONLY,
+        )
+    )
+    server = TLSServerEngine(
+        TLSConfig(
+            rng=rng.fork(b"srv"), credential=pki.credential("server"),
+            cipher_suites=_DHE_ONLY,
+        )
+    )
+    return HopChain(client, [], server)
+
+
+_SHARES = {
+    "zero": lambda share: bytes(32),
+    "short": lambda share: share[:31],
+    "one": lambda share: (1).to_bytes(len(share), "big"),
+}
+
+# (implementation, share) -> the hop whose ClientKeyExchange is rewritten;
+# the party on that hop's server side rejects the share.
+_KEY_SHARE_CASES = {
+    ("tls", "zero"): 0,
+    ("tls", "short"): 0,
+    ("tls_dhe", "one"): 0,
+    ("mbtls", "zero"): 0,
+    ("mbtls", "short"): 0,
+    ("mbtls_middlebox", "zero"): 1,
+    ("mbtls_middlebox", "short"): 1,
+    ("split_tls", "zero"): 0,
+    ("split_tls", "short"): 0,
+    ("mdtls", "zero"): 0,
+    ("mdtls", "short"): 0,
+}
+
+
+def _rewrite_key_share(data: bytes, share_kind: str) -> bytes:
+    """``data`` with the share of every plaintext ClientKeyExchange replaced."""
+    buffer = RecordBuffer()
+    buffer.feed(data)
+    out = bytearray()
+    for record in buffer.pop_records():
+        payload = bytes(record.payload)
+        if (
+            record.content_type == ContentType.HANDSHAKE
+            and payload[0] == HandshakeType.CLIENT_KEY_EXCHANGE
+        ):
+            share = ClientKeyExchange.decode_body(payload[4:]).exchange_data
+            rewritten = ClientKeyExchange(exchange_data=_SHARES[share_kind](share))
+            payload = Handshake(
+                msg_type=HandshakeType.CLIENT_KEY_EXCHANGE,
+                body=rewritten.encode_body(),
+            ).encode()
+        out += Record(record.content_type, payload).encode()
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name,share", list(_KEY_SHARE_CASES))
+def test_rejected_key_share_draws_one_attributed_illegal_parameter(
+    pki, rng, name, share
+):
+    hop = _KEY_SHARE_CASES[name, share]
+    if name == "tls_dhe":
+        chain = _dhe_tls_chain(pki, rng)
+    else:
+        chain = fuzzing.build_parties(name, b"key-share").chain()
+    rejecter = chain.parties[hop + 1]
+    if isinstance(rejecter, TLSServerEngine):
+        rejecter.origin_label = "server"
+    label = "split-tls-middlebox" if name == "split_tls" else rejecter.origin_label
+    toward_client: list[bytes] = []
+
+    def tap(at_hop, direction, data):
+        if at_hop != hop:
+            return [data]
+        if direction == "c2s":
+            return [_rewrite_key_share(data, share)]
+        toward_client.append(data)
+        return [data]
+
+    chain.tap = tap
+    chain.start()
+    chain.pump()
+    assert chain.errors == []
+    assert (rejecter.abort.alert, rejecter.abort.origin) == ("illegal_parameter", label)
+    alerts = [
+        alert
+        for alert in _wire_alerts(name, b"".join(toward_client))
+        if alert.is_fatal
+    ]
+    _assert_attributed(alerts, rejecter.abort)
+    client = chain.parties[0]
+    assert client.closed
+    assert (client.abort.alert, client.abort.origin) == ("illegal_parameter", label)
+
+
+@pytest.mark.parametrize("kind", ["x25519-zero", "x25519-short", "dhe-one"])
+def test_agree_pre_master_rejects_a_bad_share(rng, kind):
+    """The one exchange site both TLS roles (and mdTLS) go through."""
+    if kind == "dhe-one":
+        private, share = DHPrivateKey(modp_group(1024), rng), 1
+    else:
+        private = X25519PrivateKey(rng.random_bytes(32))
+        share = bytes(32) if kind == "x25519-zero" else bytes(31)
+    with pytest.raises(HandshakeError) as raised:
+        agree_pre_master(private, share)
+    assert raised.value.alert == "illegal_parameter"
 
 
 @pytest.mark.parametrize(
