@@ -371,70 +371,89 @@ def _build_shard_world(
     return world
 
 
-def _session_factory(
-    shard: Shard,
-    arrival: _Arrival,
-    pki: Pki,
-    policy: RetryPolicy,
-    orchestrator: SessionOrchestrator,
-    resubmit: Callable[[_Arrival, float], None] | None = None,
-):
-    """Build the deferred-supervisor factory the orchestrator admits.
+class _FleetSession:
+    """One planned session: the deferred-supervisor factory the orchestrator
+    admits, and the config factory and state hook its supervisor keeps.
+
+    A slotted object whose bound methods the supervisor holds, rather than
+    nested closures, so each of the thousands of live sessions keeps three
+    collector-tracked objects here instead of a dozen functions and cells.
 
     ``resubmit`` (chaos only) is called with the arrival and remaining
     lifetime when an *established* session closes before its planned
     lifetime — a fault interrupted it; the chain redials.
     """
 
-    def factory(shard_obj: Shard, orchestrator_hook):
-        sim = shard.network.sim
+    __slots__ = (
+        "shard", "arrival", "pki", "policy", "orchestrator", "resubmit",
+        "_orchestrator_hook",
+    )
 
-        def make_client_config() -> MbTLSEndpointConfig:
-            return MbTLSEndpointConfig(
-                tls=TLSConfig(
-                    rng=shard.rng.fork(b"client"),
-                    trust_store=pki.trust,
-                    server_name=arrival.server,
-                    session_store=shard.client_sessions,
-                ),
-                middlebox_trust_store=pki.trust,
-                middlebox_session_store=shard.middlebox_sessions,
-            )
+    def __init__(
+        self,
+        shard: Shard,
+        arrival: _Arrival,
+        pki: Pki,
+        policy: RetryPolicy,
+        orchestrator: SessionOrchestrator,
+        resubmit: Callable[[_Arrival, float], None] | None = None,
+    ) -> None:
+        self.shard = shard
+        self.arrival = arrival
+        self.pki = pki
+        self.policy = policy
+        self.orchestrator = orchestrator
+        self.resubmit = resubmit
+        self._orchestrator_hook = None
 
-        def hook(supervisor: SessionSupervisor, state: str) -> None:
-            remaining = None
-            if (
-                resubmit is not None
-                and state == "closed"
-                and supervisor.established_at is not None
-            ):
-                planned = supervisor.established_at + arrival.lifetime
-                if sim.now < planned - 1e-6:
-                    # A fault cut the session short of its planned life.
-                    # Mark the open ledger entry *before* the orchestrator
-                    # hook settles it, then redial the tail.
-                    remaining = planned - sim.now
-                    orchestrator.annotate(supervisor, interrupted=True)
-            orchestrator_hook(supervisor, state)
-            if state in ("established", "degraded"):
-                # One request/response exercises the data plane (and the
-                # middlebox outboxes backpressure watches), then the
-                # session idles out its planned lifetime.
-                supervisor.send_application_data(_REQUEST)
-                sim.schedule(arrival.lifetime, supervisor.close)
-            elif remaining is not None:
-                resubmit(arrival, remaining)
-
+    def __call__(self, shard_obj: Shard, orchestrator_hook) -> SessionSupervisor:
+        self._orchestrator_hook = orchestrator_hook
         return SessionSupervisor(
-            shard.network.host(arrival.site),
-            arrival.server,
-            make_client_config,
+            self.shard.network.host(self.arrival.site),
+            self.arrival.server,
+            self.make_client_config,
             start=False,
-            on_state=hook,
-            policy=policy,
+            on_state=self.hook,
+            policy=self.policy,
         )
 
-    return factory
+    def make_client_config(self) -> MbTLSEndpointConfig:
+        shard = self.shard
+        return MbTLSEndpointConfig(
+            tls=TLSConfig(
+                rng=shard.rng.fork(b"client"),
+                trust_store=self.pki.trust,
+                server_name=self.arrival.server,
+                session_store=shard.client_sessions,
+            ),
+            middlebox_trust_store=self.pki.trust,
+            middlebox_session_store=shard.middlebox_sessions,
+        )
+
+    def hook(self, supervisor: SessionSupervisor, state: str) -> None:
+        sim = self.shard.network.sim
+        remaining = None
+        if (
+            self.resubmit is not None
+            and state == "closed"
+            and supervisor.established_at is not None
+        ):
+            planned = supervisor.established_at + self.arrival.lifetime
+            if sim.now < planned - 1e-6:
+                # A fault cut the session short of its planned life.
+                # Mark the open ledger entry *before* the orchestrator
+                # hook settles it, then redial the tail.
+                remaining = planned - sim.now
+                self.orchestrator.annotate(supervisor, interrupted=True)
+        self._orchestrator_hook(supervisor, state)
+        if state in ("established", "degraded"):
+            # One request/response exercises the data plane (and the
+            # middlebox outboxes backpressure watches), then the
+            # session idles out its planned lifetime.
+            supervisor.send_application_data(_REQUEST)
+            sim.schedule(self.arrival.lifetime, supervisor.close)
+        elif remaining is not None:
+            self.resubmit(self.arrival, remaining)
 
 
 # -------------------------------------------------------------------- running
@@ -483,7 +502,7 @@ def _launch_shard(
                 sid=sid,
             )
 
-        factory = _session_factory(
+        factory = _FleetSession(
             shard, arrival, pki, policy, orchestrator,
             resubmit=resubmit if config.chaos else None,
         )

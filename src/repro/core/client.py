@@ -59,11 +59,11 @@ class MbTLSClientEngine(MbTLSEndpoint):
         self._primary_config = replace(config.tls, extra_extensions=tuple(extra))
         super().__init__(config, TLSClientEngine(self._primary_config))
         # §3.5 resumption: remembered secondary sessions, by arrival order.
-        self._resume_candidates: list[RememberedMiddlebox] = []
+        self._resume_candidates: list[RememberedMiddlebox] | tuple = ()
         if config.middlebox_session_store is not None and config.tls.server_name:
             self._resume_candidates = config.middlebox_session_store.lookup(
                 config.tls.server_name
-            )
+            ) or ()
 
     # ------------------------------------------------------------------ API
 
@@ -110,7 +110,7 @@ class MbTLSClientEngine(MbTLSEndpoint):
         sub = Subchannel(encap.subchannel_id, engine)
         sub.resume_candidate = candidate
         self._secondaries[encap.subchannel_id] = sub
-        self._arrival_order.append(encap.subchannel_id)
+        self._arrival_order += (encap.subchannel_id,)
         events = sub.feed_inner(encap.inner)
         self._drain_secondary(sub)
         self._handle_secondary_events(sub, events)

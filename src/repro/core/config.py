@@ -92,7 +92,11 @@ class MbTLSEndpointConfig:
             verification: ``"drop"`` discards it and counts it in
             ``records_dropped`` (the paper's forward-progress behaviour),
             ``"abort"`` originates a fatal ``bad_record_mac`` alert and
-            tears the session down (classic TLS behaviour).
+            tears the session down (classic TLS behaviour).  The policy
+            only governs hops under per-hop keys: an endpoint with no
+            middlebox on its side runs its hop through the primary
+            :class:`~repro.tls.engine.TLSEngine`, which always aborts with
+            ``bad_record_mac``, whatever this says.
         allow_fallback: may the session establish after *excluding* path
             members (bypassed, failed, or policy-rejected middleboxes)?
             ``True`` is the paper's optimistic behaviour; every such

@@ -46,8 +46,11 @@ class MbTLSEndpoint(RecordEndpoint):
         self.primary = primary
         # The plane's read/write states are the endpoint-adjacent hop keys,
         # installed at establishment; before that everything is forwarded raw.
+        # Per-session ledgers that stay empty on most sessions are tuples,
+        # extended by rebinding, so an engine without middleboxes holds no
+        # list for the cycle collector to walk.
         self._secondaries: dict[int, Subchannel] = {}
-        self._arrival_order: list[int] = []
+        self._arrival_order: tuple[int, ...] = ()
         self._middlebox_infos: dict[int, MiddleboxInfo] = {}
         self.established = False
         self.records_dropped = 0
@@ -57,10 +60,10 @@ class MbTLSEndpoint(RecordEndpoint):
         self._session_span = None
         # Subchannels abandoned because their middlebox stalled or died
         # mid-handshake (graceful degradation, not rejection-by-policy).
-        self.bypassed_subchannels: list[int] = []
+        self.bypassed_subchannels: tuple[int, ...] = ()
         # Every decision to proceed without a path member, as
         # (subchannel_id, reason) — the downgrade-visibility ledger.
-        self.fallback_decisions: list[tuple[int, str]] = []
+        self.fallback_decisions: tuple[tuple[int, str], ...] = ()
 
     # ------------------------------------------------------------------ API
 
@@ -128,7 +131,7 @@ class MbTLSEndpoint(RecordEndpoint):
             sub.complete = True
             sub.rejected = True
             sub.reject_reason = reason
-            self.bypassed_subchannels.append(sub.subchannel_id)
+            self.bypassed_subchannels += (sub.subchannel_id,)
             self._note_fallback(sub.subchannel_id, "middlebox_bypassed")
             obs.counter("middleboxes_bypassed", party=self.origin_label).inc()
             obs.tracer().mark(
@@ -264,7 +267,7 @@ class MbTLSEndpoint(RecordEndpoint):
 
     def _note_fallback(self, subchannel_id: int, reason: str) -> None:
         """Ledger + counter: the session will proceed without this member."""
-        self.fallback_decisions.append((subchannel_id, reason))
+        self.fallback_decisions += ((subchannel_id, reason),)
         obs.counter(
             "session.fallback", party=self.origin_label, reason=reason
         ).inc()

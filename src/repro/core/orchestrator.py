@@ -316,6 +316,8 @@ class Shard:
         # Anti-amplification state, lazily created per destination server.
         self._breakers: dict[str, CircuitBreaker] = {}
         self._budgets: dict[str, RetryBudget] = {}
+        # Bound once: every supervisor admitted here shares this gate.
+        self._allow_retry = self.allow_retry
 
     def watch_service(self, service: MiddleboxService) -> None:
         """Register a middlebox service for admission backpressure."""
@@ -441,6 +443,8 @@ class SessionOrchestrator:
         # Supervisor -> (shard, open ledger entry).  Keyed by the object
         # (identity hash) so the supervisor stays alive until it settles.
         self._active: dict[SessionSupervisor, tuple[Shard, dict]] = {}
+        # Bound once: every factory gets the same state hook.
+        self._state_hook = self._on_state
         #: Highest number of simultaneously-live sessions across the whole
         #: fleet (a true instantaneous maximum, unlike the sum of per-shard
         #: peaks, which may have occurred at different times).
@@ -587,9 +591,9 @@ class SessionOrchestrator:
             if server is not None and not shard.breaker(server).allow():
                 self._shed(shard, info, reason="breaker_open")
                 continue
-            supervisor = factory(shard, self._on_state)
+            supervisor = factory(shard, self._state_hook)
             if getattr(supervisor, "retry_gate", None) is None:
-                supervisor.retry_gate = shard.allow_retry
+                supervisor.retry_gate = shard._allow_retry
             entry = {
                 **info,
                 "shard": shard.id,

@@ -41,7 +41,7 @@ class MbTLSServerEngine(MbTLSEndpoint):
     def __init__(self, config: MbTLSEndpointConfig) -> None:
         super().__init__(config, TLSServerEngine(config.tls))
         self._announcement_window_open = True
-        self._pending_app_data: list[bytes] = []
+        self._pending_app_data: tuple[bytes, ...] = ()
 
     # ------------------------------------------------------------------ API
 
@@ -50,7 +50,7 @@ class MbTLSServerEngine(MbTLSEndpoint):
             raise ProtocolError("cannot send application data on a closed connection")
         if not self.established:
             # §3.5 False-Start territory: queue until keys are distributed.
-            self._pending_app_data.append(bytes(data))
+            self._pending_app_data += (bytes(data),)
             return
         self._send_app_now(data)
 
@@ -86,7 +86,7 @@ class MbTLSServerEngine(MbTLSEndpoint):
         engine.start()  # the server initiates: it is the TLS client here
         sub = Subchannel(encap.subchannel_id, engine)
         self._secondaries[encap.subchannel_id] = sub
-        self._arrival_order.append(encap.subchannel_id)
+        self._arrival_order += (encap.subchannel_id,)
         self._drain_secondary(sub)
 
     def _middlebox_info(self, sub: Subchannel) -> MiddleboxInfo:
@@ -147,4 +147,4 @@ class MbTLSServerEngine(MbTLSEndpoint):
         )
         for data in self._pending_app_data:
             self._send_app_now(data)
-        self._pending_app_data.clear()
+        self._pending_app_data = ()

@@ -42,6 +42,30 @@ _VERSION_BYTES = TLS12_VERSION.to_bytes(2, "big")
 # test corpus.
 MAX_BUFFERED_BYTES = 4 * 1024 * 1024
 
+# Handle-cache keys of a record plane: a family plus the content type byte.
+_SEALED, _OPENED = 0, 256
+
+
+def _record_handles(metrics, family: str, party: str, label: str) -> tuple:
+    return (
+        metrics.counter(f"records_{family}", party=party, type=label),
+        metrics.counter(f"bytes_{family}", party=party, type=label),
+    )
+
+
+def _flush_handles(metrics, party: str) -> tuple:
+    return (
+        metrics.counter("seal_flushes", party=party),
+        metrics.histogram("seal_batch_records", obs.COUNT_BUCKETS, party=party),
+    )
+
+
+def _drain_handles(metrics, party: str) -> tuple:
+    return (
+        metrics.counter("flights_drained", party=party),
+        metrics.counter("bytes_drained", party=party),
+    )
+
 
 class RecordPlane:
     """Framing + AEAD + outbox for one direction pair of one connection.
@@ -79,7 +103,8 @@ class RecordPlane:
         # Plaintext fragments queued under the current write state but
         # not yet sealed; they are encrypted as one protect_many() batch
         # at the next flush point (drain, state swap, or verbatim queue).
-        self._pending_seal = []
+        # An empty tuple while nothing waits, so an idle plane holds no list.
+        self._pending_seal = ()
         self._pending_seal_bytes = 0
         self.read_state = None
         self.write_state = None
@@ -90,8 +115,9 @@ class RecordPlane:
         self.flights_drained = 0
         self.bytes_drained = 0
         # Observability: the owning engine stamps ``party`` before traffic
-        # flows.  Series handles are cached (see ``_obs_handles``) and the
-        # cache is dropped whenever the process-local plane is swapped.
+        # flows.  Series handles are bound on the obs plane and this plane
+        # caches their indices (see ``_obs_handles``); the cache is dropped
+        # whenever the process-local plane is swapped.
         self.party = ""
         self._obs_plane = None
         self._obs_cache = {}
@@ -99,14 +125,15 @@ class RecordPlane:
     # ---------------------------------------------------------------- metrics
 
     def _obs_handles(self) -> dict:
-        """The series handles bound on the current obs plane.
+        """This plane's handle cache for the current obs plane.
 
         A handle is resolved on its series' first update, never earlier,
         so the registry holds exactly the series that per-call lookups
-        would create.  Keys: ``(family, content type)`` for the
-        ``records_*``/``bytes_*`` pairs, which keep the party they were
-        first resolved with, and ``(site, party)`` for the per-flush and
-        per-drain series, which follow the current party.
+        would create.  The cache maps ``family + content type`` (see
+        :data:`_SEALED`) to the index of a ``records_*``/``bytes_*`` pair
+        bound on the obs plane (:meth:`~repro.obs.ObservabilityPlane.bind`);
+        a pair keeps the party it was first resolved with.  Ints only, so
+        the cache is never tracked by the cycle collector.
         """
         current = obs.plane()
         if current is not self._obs_plane:
@@ -114,19 +141,31 @@ class RecordPlane:
             self._obs_cache = {}
         return self._obs_cache
 
-    def _obs_counters(self, family: str, content_type: int, handles: dict):
-        """Cached ``(records, bytes)`` counters for one content type."""
-        key = (family, content_type)
-        cached = handles.get(key)
-        if cached is None:
+    def _obs_counters(self, family: int, content_type: int, cache: dict):
+        """The ``(records, bytes)`` counters of one family and content type."""
+        current = self._obs_plane
+        index = cache.get(family + content_type)
+        if index is None:
             known = CONTENT_TYPES.get(content_type)
             label = str(content_type) if known is None else known.name.lower()
-            metrics = self._obs_plane.metrics
-            cached = handles[key] = (
-                metrics.counter(f"records_{family}", party=self.party, type=label),
-                metrics.counter(f"bytes_{family}", party=self.party, type=label),
+            name = "opened" if family == _OPENED else "sealed"
+            index = cache[family + content_type] = current.bind(
+                (f"records_{name}", self.party, label),
+                _record_handles, current.metrics, name, self.party, label,
             )
-        return cached
+        return current.handles[index]
+
+    def _obs_site(self, key: tuple, make) -> tuple:
+        """Per-flush or per-drain handles; ``key`` names the current party.
+
+        Looked up on every flush or drain, so it reads the plane's index
+        directly and binds only a key not seen before.
+        """
+        current = self._obs_plane
+        index = current.bound.get(key)
+        if index is None:
+            index = current.bind(key, make, current.metrics, self.party)
+        return current.handles[index]
 
     # ---------------------------------------------------------------- inbound
 
@@ -154,7 +193,7 @@ class RecordPlane:
         if self.read_state is not None:
             plaintext = self.read_state.unprotect(record)
             records, size = self._obs_counters(
-                "opened", int(record.content_type), self._obs_handles())
+                _OPENED, int(record.content_type), self._obs_handles())
             records.inc()
             size.inc(len(plaintext))
             return plaintext
@@ -182,7 +221,7 @@ class RecordPlane:
         handles = self._obs_handles()
         for record, plaintext in zip(records, plaintexts):
             counted, size = self._obs_counters(
-                "opened", int(record.content_type), handles)
+                _OPENED, int(record.content_type), handles)
             counted.inc()
             size.inc(len(plaintext))
         return plaintexts
@@ -262,7 +301,10 @@ class RecordPlane:
         """
         if self.write_state is not None:
             self._check_outbox_room(len(payload) + self._SEAL_OVERHEAD)
-            self._pending_seal.append((content_type, payload))
+            if self._pending_seal:
+                self._pending_seal.append((content_type, payload))
+            else:
+                self._pending_seal = [(content_type, payload)]
             self._pending_seal_bytes += len(payload) + self._SEAL_OVERHEAD
             return
         self._append(int(content_type), payload)
@@ -291,7 +333,7 @@ class RecordPlane:
         pending = self._pending_seal
         if not pending:
             return
-        self._pending_seal = []
+        self._pending_seal = ()
         self._pending_seal_bytes = 0
         state = self.write_state
         protect_many = getattr(state, "protect_many", None)
@@ -310,18 +352,11 @@ class RecordPlane:
             ).observe(perf_counter() - started)
         for content_type, payload in pending:
             counted, size = self._obs_counters(
-                "sealed", int(content_type), handles)
+                _SEALED, int(content_type), handles)
             counted.inc()
             size.inc(len(payload))
-        key = ("flush", self.party)
-        flush = handles.get(key)
-        if flush is None:
-            flush = handles[key] = (
-                current.metrics.counter("seal_flushes", party=self.party),
-                current.metrics.histogram(
-                    "seal_batch_records", obs.COUNT_BUCKETS, party=self.party),
-            )
-        flushes, batch_records = flush
+        flushes, batch_records = self._obs_site(
+            ("seal_flushes", self.party), _flush_handles)
         flushes.inc()
         batch_records.observe(len(pending))
         for record in records:
@@ -365,16 +400,8 @@ class RecordPlane:
         self._outbox.clear()
         self.flights_drained += 1
         self.bytes_drained += len(data)
-        handles = self._obs_handles()
-        key = ("drain", self.party)
-        drained = handles.get(key)
-        if drained is None:
-            metrics = self._obs_plane.metrics
-            drained = handles[key] = (
-                metrics.counter("flights_drained", party=self.party),
-                metrics.counter("bytes_drained", party=self.party),
-            )
-        flights, size = drained
+        self._obs_handles()  # follow a plane swap
+        flights, size = self._obs_site(("flights_drained", self.party), _drain_handles)
         flights.inc()
         size.inc(len(data))
         return data

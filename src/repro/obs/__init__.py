@@ -55,7 +55,7 @@ __all__ = [
 class ObservabilityPlane:
     """Metrics + tracer sharing one (re)bindable deterministic clock."""
 
-    __slots__ = ("metrics", "tracer", "wall_time", "_clock")
+    __slots__ = ("metrics", "tracer", "wall_time", "_clock", "handles", "bound")
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
@@ -64,6 +64,28 @@ class ObservabilityPlane:
         #: default so reports stay byte-identical across runs.
         self.wall_time = False
         self._clock: Callable[[], float] | None = None
+        #: Bound instrument handles, shared by every site on this plane,
+        #: and the index of each in :attr:`handles` by key (see :meth:`bind`).
+        self.handles: list = []
+        self.bound: dict[tuple, int] = {}
+
+    def bind(self, key: tuple, make: Callable[..., object], *args) -> int:
+        """Index in :attr:`handles` of the handles bound for ``key``.
+
+        ``make(*args)`` resolves them on the key's first bind on this
+        plane; by convention a key starts with the name of the first
+        series the handles update.  A site that binds handles for many
+        short-lived objects keeps this index, an int, instead of the
+        handles themselves, so its per-object cache holds nothing the
+        cycle collector has to walk; the handles live once, here, and go
+        with the plane.  A site that looks its key up on every update
+        reads ``bound.get(key)`` first.
+        """
+        index = self.bound.get(key)
+        if index is None:
+            index = self.bound[key] = len(self.handles)
+            self.handles.append(make(*args))
+        return index
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         """Point the plane at a time source (normally ``lambda: sim.now``)."""

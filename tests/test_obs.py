@@ -321,6 +321,48 @@ class TestBoundHandles:
             assert second.metrics.counter_value("flights_drained", party="q") == 1
         assert first.metrics.counter_value("flights_drained", party="q") == 1
 
+    def test_record_pairs_keep_their_first_party_on_each_plane(self):
+        from repro.io.record_plane import RecordPlane
+        from repro.wire.records import ContentType, Record
+
+        class Plain:
+            def protect(self, content_type, payload):
+                return Record(content_type, bytes(payload))
+
+        def seal(record_plane, payload):
+            record_plane.queue_record(ContentType.APPLICATION_DATA, payload)
+            record_plane.data_to_send()
+
+        with obs.scoped() as first:
+            record_plane = RecordPlane()
+            record_plane.write_state = Plain()
+            record_plane.party = "p"
+            seal(record_plane, b"ab")
+            # A later party stamp moves the per-flush series, not a
+            # records/bytes pair already resolved on this plane...
+            record_plane.party = "q"
+            seal(record_plane, b"cde")
+            assert first.metrics.counter_value(
+                "records_sealed", party="p", type="application_data") == 2
+            assert first.metrics.counter_value(
+                "bytes_sealed", party="p", type="application_data") == 5
+            assert first.metrics.counter_value(
+                "records_sealed", party="q", type="application_data") == 0
+            assert first.metrics.counter_value("seal_flushes", party="q") == 1
+            # ...while a pair first resolved after the stamp takes it.
+            record_plane.queue_record(ContentType.HANDSHAKE, b"hi")
+            record_plane.data_to_send()
+            assert first.metrics.counter_value(
+                "records_sealed", party="q", type="handshake") == 1
+        # A new plane resolves every pair afresh, with the party of its
+        # first update there; nothing bound on the first plane carries over.
+        with obs.scoped() as second:
+            seal(record_plane, b"f")
+            assert second.metrics.counter_value(
+                "records_sealed", party="q", type="application_data") == 1
+        assert first.metrics.counter_value(
+            "records_sealed", party="p", type="application_data") == 2
+
     def test_stream_resolves_link_counters_on_first_delivery(self):
         from repro.netsim.network import Network
 
