@@ -4,11 +4,22 @@ Key generation uses Miller-Rabin with random bases drawn from the caller's
 RNG so the whole library stays deterministic under a seeded DRBG. Signatures
 are RSASSA-PKCS1-v1_5 with SHA-256; encryption is RSAES-PKCS1-v1_5 (used by
 the RSA key-exchange cipher suites).
+
+The prime search sieves exactly. Trial division by the primes up to 229
+rejects a candidate before any base is drawn. A candidate that survives it
+gets ``g = gcd(n, _SIEVE_PRODUCT % n)``, the product of its distinct prime
+factors in (229, 2^14]. Once the first base ``a`` is drawn, ``a^(n-1) != 1
+(mod g)`` rejects ``n`` without the full-size modexp: every Miller-Rabin
+pass implies ``a^(n-1) = 1 (mod n)``, hence modulo every divisor of ``n``.
+So the sieve rejects only what round 1 would reject, after the same single
+draw, and every candidate, DRBG stream and key is what the plain 24-round
+test gives.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import CryptoError
@@ -24,9 +35,29 @@ _SMALL_PRIMES = [
     151, 157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229,
 ]
 
+#: The sieve's bound: the largest prime factor the round-1 check can see.
+_SIEVE_BOUND = 1 << 14
+
+
+def _sieve_product(low: int, high: int) -> int:
+    """The product of the primes in (``low``, ``high``]."""
+    composite = bytearray(high + 1)
+    for p in range(2, math.isqrt(high) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, high + 1, p))
+    return math.prod(p for p in range(low + 1, high + 1) if not composite[p])
+
+
+_SIEVE_PRODUCT = _sieve_product(_SMALL_PRIMES[-1], _SIEVE_BOUND)
+
 
 def is_probable_prime(n: int, rng, rounds: int = 24) -> bool:
-    """Miller-Rabin primality test with ``rounds`` random bases."""
+    """Miller-Rabin primality test with ``rounds`` random bases.
+
+    Round 1 first checks its base against the factors of ``n`` in
+    (229, ``_SIEVE_BOUND``] (see the module docstring); the result and the
+    draws taken from ``rng`` are those of the plain test.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -37,8 +68,11 @@ def is_probable_prime(n: int, rng, rounds: int = 24) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    g = math.gcd(n, _SIEVE_PRODUCT % n)
+    for i in range(rounds):
         a = rng.randint_range(2, n - 2)
+        if i == 0 and g > 1 and pow(a, n - 1, g) != 1:
+            return False
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

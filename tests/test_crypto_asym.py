@@ -1,6 +1,8 @@
 """Asymmetric primitives: X25519 (vs oracle), RSA, finite-field DH."""
 
+import hashlib
 import importlib
+import math
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -13,7 +15,9 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.scenarios import Pki
 from repro.crypto.dh import DHPrivateKey, modp_group
+from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import (
     RSAPrivateKey,
     RSAPublicKey,
@@ -31,6 +35,7 @@ from repro.errors import CryptoError
 
 # The package re-exports the function ``x25519`` under the module's name.
 x25519_module = importlib.import_module("repro.crypto.x25519")
+rsa_module = importlib.import_module("repro.crypto.rsa")
 
 _P = 2**255 - 19
 _RAW = (serialization.Encoding.Raw, serialization.PublicFormat.Raw)
@@ -283,6 +288,149 @@ class TestRSA:
         assert not is_probable_prime(561, rng)  # Carmichael number
         assert is_probable_prime(2, rng)
         assert not is_probable_prime(1, rng)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+# The oracle's own trial-division list, built independently of rsa.py.
+_ORACLE_SMALL_PRIMES = [p for p in range(2, 230) if _is_prime(p)]
+_BOUND = rsa_module._SIEVE_BOUND
+_LARGEST_SIEVED = next(p for p in range(_BOUND, 229, -1) if _is_prime(p))
+_SMALLEST_UNSIEVED = next(p for p in range(_BOUND + 1, 2 * _BOUND) if _is_prime(p))
+_BIG_PRIME = 2**521 - 1  # a Mersenne prime
+
+
+def _oracle_is_prime(n: int, rng, rounds: int = 24) -> bool:
+    """Plain Miller-Rabin: trial division by the primes up to 229, then
+    ``rounds`` random bases, each a full-size modexp."""
+    if n < 2:
+        return False
+    for p in _ORACLE_SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for _ in range(rounds):
+        a = rng.randint_range(2, n - 2)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+_SPECIAL = [
+    *(pytest.param(p * _BIG_PRIME, id=f"p*q-p={p}")
+      for p in (223, 233, _LARGEST_SIEVED, _SMALLEST_UNSIEVED)),
+    # p - 1 divides p^2 - 1, so round 1's check passes for every base
+    # coprime to p and the full test decides.
+    *(pytest.param(p * p, id=f"p^2-p={p}") for p in (233, 1009, _LARGEST_SIEVED)),
+    pytest.param(271 * 541 * 811, id="carmichael-271*541*811"),
+    *(pytest.param(n, id=f"n={n}") for n in (1, 2, 3, 561)),
+    pytest.param(2**127 - 1, id="2^127-1"),
+    pytest.param(2**128 - 1, id="2^128-1"),
+]
+
+
+class TestPrimeSearchEquivalence:
+    """The sieved prime test against the plain one: the same answer after
+    the same draws, so the DRBG continues identically."""
+
+    @staticmethod
+    def _check(n: int, seed: bytes) -> bool:
+        library_rng, oracle_rng = HmacDrbg(seed), HmacDrbg(seed)
+        expected = _oracle_is_prime(n, oracle_rng)
+        assert is_probable_prime(n, library_rng) == expected
+        assert library_rng.random_bytes(32) == oracle_rng.random_bytes(32)
+        return expected
+
+    def test_seeded_candidates(self):
+        rng = HmacDrbg(b"prime-search/candidates")
+        candidates = [rng.randbits(512) | (1 << 511) | 1 for _ in range(300)]
+        verdicts = [
+            self._check(n, b"prime-search/%d" % i) for i, n in enumerate(candidates)
+        ]
+        # The set reaches every path past trial division: primes,
+        # composites with a factor in (229, B], and composites without one.
+        trial_divided = math.prod(_ORACLE_SMALL_PRIMES)
+        sieved = {
+            math.gcd(n, rsa_module._SIEVE_PRODUCT) > 1
+            for n, prime in zip(candidates, verdicts)
+            if not prime and math.gcd(n, trial_divided) == 1
+        }
+        assert any(verdicts)
+        assert sieved == {True, False}
+
+    @pytest.mark.parametrize("n", _SPECIAL)
+    def test_special_values(self, n):
+        for seed in range(4):
+            self._check(n, b"prime-search/special/%d" % seed)
+
+
+def _key_digest(key: RSAPrivateKey) -> str:
+    return hashlib.sha256(repr((key.n, key.e, key.d, key.p, key.q)).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def perf_pki_keys():
+    """The benchmark deployment's four keys (``Chain`` in perf/workloads.py:
+    CA, server, mb0, mb1), generated while counting the full-size modexps:
+    ``pow`` calls with a non-negative exponent and a modulus of at least the
+    primes' 512 bits."""
+    calls = []
+
+    def counting(base, exp, mod=None):
+        if mod is not None and exp >= 0 and mod.bit_length() >= 512:
+            calls.append(mod)
+        return pow(base, exp, mod)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rsa_module, "pow", counting, raising=False)
+        pki = HmacDrbg(b"perf/pki")
+        keys = [generate_rsa_key(1024, pki.fork(b"ca"))]
+        keys += [generate_rsa_key(1024, pki.fork(name)) for name in (b"server", b"mb0", b"mb1")]
+    return keys, len(calls)
+
+
+class TestPinnedKeys:
+    """Keys are bit-identical to those of the plain prime search."""
+
+    def test_perf_pki_keys(self, perf_pki_keys):
+        keys, _ = perf_pki_keys
+        assert [_key_digest(key) for key in keys] == [
+            "7bfacdb156eda980f8198f6fdbf67f4734f7b7500f52674b587c45d93dac95e6",
+            "35756ca96d19096bf6e01e75378a41d4118bf03dcb69f762718de9e6ffacc204",
+            "19e21f3a9cd38b583d25cda175c3157f8ecac0c85fdb9871edc92f83fcd5b797",
+            "835b915650fa361dc5160e629d192a9c13f005f0382bf627f1e0bb723ef81bdf",
+        ]
+
+    def test_perf_pki_full_size_modexps(self, perf_pki_keys):
+        # The plain test took 962 for these keys; 8 primes x 24 rounds is
+        # the floor.
+        _, modexps = perf_pki_keys
+        assert modexps == 723
+
+    def test_512_bit_key(self):
+        # The size netsim/downgrade.py draws for a forged warrant key.
+        key = generate_rsa_key(512, HmacDrbg(b"downgrade/wrong_key"))
+        assert _key_digest(key) == (
+            "19e0e7f57f3109c945cd0720179d128db253112fdb4af77915ae0e6b0e5a3d4d"
+        )
+
+    def test_fleet_key(self):
+        # The shared bench key of the fleet's PKI at the default seed.
+        pki = Pki(rng=HmacDrbg(b"fleet-bench", personalization=b"fleet/pki"))
+        assert _key_digest(pki.credential("mbcore").private_key) == (
+            "7d57ddd7a4377133b34a86f936492a8803a1ac82082f2cfb7eb6c3d7d4e095ed"
+        )
 
 
 class TestDH:

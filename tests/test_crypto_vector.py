@@ -98,7 +98,22 @@ class TestVectorScalarEquivalence:
             slow = chacha20_xor(key, 1, nonce, data)
         assert fast == slow
 
-    @pytest.mark.parametrize("length", [0, 16, 64, 65, 300, 16384])
+    @pytest.mark.parametrize(
+        "length",
+        [
+            0,
+            16,
+            64,
+            65,
+            # Block 0 carries the Poly1305 key, so a record's request
+            # reaches the cutover one plaintext block earlier than a bare
+            # keystream: just below it, then exactly at it.
+            64 * (chacha._VECTOR_THRESHOLD - 2),
+            64 * (chacha._VECTOR_THRESHOLD - 2) + 1,
+            300,
+            16384,
+        ],
+    )
     def test_seal_matches_scalar_and_oracle(self, length, rng):
         key = rng.random_bytes(32)
         nonce = rng.random_bytes(12)
@@ -109,6 +124,8 @@ class TestVectorScalarEquivalence:
             slow = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
         assert fast == slow
         assert fast == OracleChaCha(key).encrypt(nonce, plaintext, aad)
+        assert ChaCha20Poly1305(key).decrypt(nonce, fast, aad) == plaintext
+        assert OracleChaCha(key).decrypt(nonce, fast, aad) == plaintext
 
     def test_empty_plaintext_and_aad(self, rng):
         key = rng.random_bytes(32)
