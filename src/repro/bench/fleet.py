@@ -881,11 +881,15 @@ def run_fleet(
         only_shard: replay exactly one shard from ``(seed, shard_id)``;
             the other shards are created (their RNG split costs nothing)
             but get no world, no arrivals, and no weather.  The replayed
-            shard's ledger digest matches the full-fleet run.
+            shard's ledger digest matches the full-fleet run, except
+            where the timer wheel misorders events (ROADMAP item 10):
+            at the quick and perf scale the serial run fires some events
+            out of order, so a solo replay can differ from it.
         workers: with >= 2, run each shard in its own worker process
             (one solo replay per shard, merged by
             :func:`_merge_worker_results`); per-shard ledger digests and
-            the combined fleet digest are identical to a serial run.
+            the combined fleet digest are identical to a serial run,
+            with the same exception as ``only_shard``.
             Incompatible with ``only_shard``.
     """
     if config is None:

@@ -22,6 +22,13 @@ This wheel gives the simulator what kernels give their networking stacks:
   keep their exact ``(time, seq)`` pair and the consumer sorts each
   expired tick before firing it, so behaviour is byte-identical to the
   old heap (same-time events still fire in schedule order).
+  **Known exception** (ROADMAP item 10): when popping a tick rolls the
+  current tick into a new level-1 window, ``_scan``'s level-0 fast path
+  returns entries filed after the roll before cascading the level-1 slot
+  that now holds earlier ones, so those fire out of order and the
+  simulator's clock moves backward
+  (``tests/test_netsim.py::TestSimulator::test_rollover_keeps_time_order``,
+  a strict xfail).
 * **O(1)-ish scanning** — each level keeps a big-int occupancy bitmask;
   finding the next busy slot is a shift plus ``(m & -m).bit_length()``,
   not a walk over 256 slots.

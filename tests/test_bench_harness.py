@@ -222,6 +222,19 @@ class TestCryptoBenchGate:
         }], kex={"base_us": 1e9})
         assert check_regression(fresh, self._report()) == []
 
+    def test_kex_speedup_gated_against_baseline(self):
+        from repro.bench.crypto import check_regression
+
+        baseline = dict(self._report(), kex={"base_speedup": 6.0})
+        slower = dict(self._report(), kex={"base_speedup": 4.1})
+        wobble = dict(self._report(), kex={"base_speedup": 4.3})
+        problems = check_regression(slower, baseline)
+        assert [p for p in problems if p.startswith("kex:")] == [
+            "kex: base speedup 4.1x regressed >30% from baseline 6.0x"]
+        assert check_regression(wobble, baseline) == []
+        # A baseline without the leg gates nothing.
+        assert check_regression(slower, self._report()) == []
+
     def test_short_lived_leg_shape(self):
         from repro.bench.crypto import bench_short_lived
 

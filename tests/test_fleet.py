@@ -6,7 +6,10 @@ The contract under test (ISSUE 7 + ISSUE 8):
   ``BENCH_fleet.json`` snapshot minus wall-clock and git state), for
   clean *and* chaos runs;
 * any shard replays from ``(seed, shard_id)`` alone with a ledger digest
-  identical to its digest inside the full-fleet run;
+  identical to its digest inside the full-fleet run, checked (with
+  ``workers=2``) only at ``SMALL`` scale: at the quick and perf scale
+  the timer wheel fires some events out of order in the serial run, so
+  replays differ there until the wheel is fixed (ROADMAP item 10);
 * a session driven through the orchestrator's admission machinery is
   byte-identical on the wire to the same session driven by a standalone
   :class:`SessionSupervisor`;

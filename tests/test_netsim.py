@@ -141,6 +141,26 @@ class TestSimulator:
             survivor.touch()
         assert sim.pending_events == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="timer wheel fires a level-1 entry after a newer level-0 one "
+        "once the tick rolls into a new level-1 window (ROADMAP item 10)",
+    )
+    def test_rollover_keeps_time_order(self):
+        # At the default 100 µs ticks, e1 (tick 272) is filed at level 1.
+        # Popping tick 255 rolls the current tick to 256, into e1's level-1
+        # window, so the callback files e2 (tick 336) at level 0, and the
+        # level-0 fast path must not return e2 before cascading e1.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(0.0272, lambda: fired.append(("e1", sim.now)))
+        sim.schedule_at(
+            0.02555,
+            lambda: sim.schedule_at(0.0336, lambda: fired.append(("e2", sim.now))),
+        )
+        sim.run()
+        assert fired == [("e1", 0.0272), ("e2", 0.0336)]
+
 
 class TestTimerWheel:
     def _drain(self, wheel):
